@@ -1,12 +1,23 @@
-// CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320), slicing-by-8.
+// CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320).
 //
-// This backs the end-to-end message checksum (rpc::checksum32). The
-// previous implementation was byte-serial FNV-1a: a dependent multiply per
-// byte (~4 cycles/byte of pure latency), which profiling showed was the
-// single largest cost in a protocol sweep — every data block is
+// This backs the end-to-end message checksum (rpc::checksum32), the NAS
+// data checksums and the NIC placement checksum. Every data block is
 // checksummed at least twice (sealed by the sender, verified by the
-// receiver). Slicing-by-8 breaks the byte dependency chain: eight table
-// lookups per 8-byte word, all independent, ~0.5 cycles/byte.
+// receiver), so this is per-byte work on the simulator's host, and
+// profiles of retransmit-heavy runs put it first.
+//
+// Two implementations, chosen per call:
+//   * A carry-less-multiply (PCLMULQDQ) folding kernel: four 128-bit lanes
+//     fold 64 bytes per step, then one Barrett reduction to 32 bits. It
+//     covers the 16-byte-multiple prefix of any span of 64 bytes or more.
+//     It is compiled for x86 only, with a per-function target attribute
+//     (no build flag), and runs only when the CPU reports PCLMUL and
+//     SSE4.1; the probe runs once, in a function-local static.
+//   * Slicing-by-8 tables: eight independent lookups per 8-byte word.
+//     This handles short spans, the tail after the folded prefix, CPUs
+//     without PCLMUL and non-x86 builds, and is the reference the tests
+//     compare the kernel against (crc32_update_table).
+// Both compute the same register, so which one runs never changes a value.
 //
 // Why CRC rather than a faster hash: the checksum must be *chainable at
 // arbitrary split points* — `crc32(a ++ b) == crc32(b, crc32(a))` for any
@@ -16,75 +27,24 @@
 // bulk bytes). CRC's register-update formulation gives that for free, and
 // its linearity guarantees detection of any single corrupted byte and any
 // burst shorter than 32 bits — strictly stronger than FNV for the
-// single-flip corruptions the fault injector produces. The property is
-// pinned by tests/wire_fuzz_test.cc.
-//
-// The tables are computed at compile time (constexpr), so there is no init
-// ordering, no runtime generation, and the 8 KiB lands in .rodata shared
-// across threads (read-only: no false sharing).
+// single-flip corruptions the fault injector produces. The property and
+// the agreement of both paths are pinned by tests/wire_fuzz_test.cc.
 #pragma once
 
-#include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 
 namespace ordma {
 
-namespace detail {
-
-struct Crc32Tables {
-  std::uint32_t t[8][256];
-};
-
-constexpr Crc32Tables make_crc32_tables() {
-  Crc32Tables tb{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0);
-    }
-    tb.t[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    for (int s = 1; s < 8; ++s) {
-      tb.t[s][i] = (tb.t[s - 1][i] >> 8) ^ tb.t[0][tb.t[s - 1][i] & 0xff];
-    }
-  }
-  return tb;
-}
-
-inline constexpr Crc32Tables kCrc32 = make_crc32_tables();
-
-}  // namespace detail
-
 // Advance the CRC register `crc` over `data`. Plain register update with no
 // pre/post inversion, so updates compose: crc32_update over a byte stream
-// yields the same register whatever the chunking.
-inline std::uint32_t crc32_update(std::uint32_t crc,
-                                  std::span<const std::byte> data) {
-  const auto& t = detail::kCrc32.t;
-  const std::byte* p = data.data();
-  std::size_t n = data.size();
-  if constexpr (std::endian::native == std::endian::little) {
-    while (n >= 8) {
-      std::uint32_t lo, hi;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= crc;
-      crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
-            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
-            t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
-      p += 8;
-      n -= 8;
-    }
-  }
-  while (n--) {
-    crc = (crc >> 8) ^ t[0][(crc ^ std::to_integer<std::uint32_t>(*p++)) &
-                            0xff];
-  }
-  return crc;
-}
+// yields the same register whatever the chunking. The standard CRC-32 of a
+// message m is ~crc32_update(~0u, m).
+std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::byte> data);
+
+// The portable slicing-by-8 path alone; same contract and result as
+// crc32_update.
+std::uint32_t crc32_update_table(std::uint32_t crc,
+                                 std::span<const std::byte> data);
 
 }  // namespace ordma

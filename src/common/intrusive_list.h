@@ -100,6 +100,16 @@ class IntrusiveList {
     }
   }
 
+  // First element, front to back, for which pred holds; nullptr if none.
+  // Stops at the match instead of walking the rest of the list.
+  template <typename Pred>
+  T* find_first(Pred&& pred) const {
+    for (ListNode* n = head_.next; n != &head_; n = n->next) {
+      if (pred(static_cast<T*>(n))) return static_cast<T*>(n);
+    }
+    return nullptr;
+  }
+
  private:
   ListNode head_;
   std::size_t size_ = 0;

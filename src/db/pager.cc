@@ -26,10 +26,8 @@ Pager::~Pager() = default;
 
 sim::Task<Result<Pager::Frame*>> Pager::take_frame() {
   if (auto* f = free_.pop_front()) co_return f;
-  Frame* victim = nullptr;
-  lru_.for_each([&](Frame* cand) {
-    if (!victim && cand->pin == 0) victim = cand;
-  });
+  Frame* victim =
+      lru_.find_first([](const Frame* cand) { return cand->pin == 0; });
   if (!victim) co_return Errc::no_space;
   if (victim->dirty) {
     auto st = co_await write_back(*victim);

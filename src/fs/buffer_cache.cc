@@ -32,10 +32,8 @@ CacheBlock* BufferCache::peek(CacheKey key) {
 
 sim::Task<Result<CacheBlock*>> BufferCache::evict_one(obs::OpId trace_op) {
   // First unpinned block from the LRU end.
-  CacheBlock* victim = nullptr;
-  lru_.for_each([&](CacheBlock* cand) {
-    if (!victim && cand->pin == 0) victim = cand;
-  });
+  CacheBlock* victim =
+      lru_.find_first([](const CacheBlock* cand) { return cand->pin == 0; });
   if (!victim) co_return Errc::no_space;  // everything pinned
 
   // Detach before any await so a concurrent eviction cannot pick the same

@@ -8,7 +8,9 @@
 //     144 us, ORDMA 92 us.
 //   * §5.1 — standard NFS peaks at 65 MB/s (client CPU saturated by copies);
 //     NFS pre-posting 235 MB/s; DAFS/NFS-hybrid 230 MB/s.
-// tests/calibration_test.cc asserts the Table 2/3 targets against this model.
+// tests/calibration_test.cc asserts the Table 2 targets against this model.
+// Table 3 is printed by bench/table3_response_time.cc and is not gated yet
+// (ROADMAP.md, item 3).
 #pragma once
 
 #include "common/units.h"

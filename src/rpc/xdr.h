@@ -18,7 +18,11 @@
 
 namespace ordma::rpc {
 
-// End-to-end payload checksum (CRC-32, slicing-by-8 — common/crc32.h).
+// End-to-end payload checksum (CRC-32 — common/crc32.h). Spans of 64 bytes
+// and more are folded with carry-less multiplies when a one-time CPU probe
+// finds PCLMUL; short spans, the tail bytes and CPUs or builds without it
+// take the slicing-by-8 table path, which also stays as the reference the
+// kernel is tested against. Both give the same value.
 // Chainable at *any* split point: pass the previous return value as
 // `state` to checksum discontiguous regions as one stream (e.g. an RPC
 // header + results + RDDP-placed data), and the result is identical

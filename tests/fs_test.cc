@@ -135,6 +135,24 @@ TEST_F(FsTest, CachePinnedBlocksAreNotEvicted) {
   });
 }
 
+TEST_F(FsTest, CacheEvictionSkipsPinnedLruFront) {
+  Disk disk(host_, MiB(1), KiB(8));
+  BufferCache cache(host_, disk, 2, KiB(8));
+  std::vector<CacheKey> evicted;
+  cache.set_evict_hook([&](CacheBlock& b) { evicted.push_back(b.key); });
+  run(eng_, [&]() -> sim::Task<void> {
+    auto b0 = co_await cache.get(CacheKey{1, 0}, 0, true);  // LRU front
+    (void)co_await cache.get(CacheKey{1, 1}, 1, true);
+    BufferCache::pin(*b0.value());
+    auto b2 = co_await cache.get(CacheKey{1, 2}, 2, true);  // evicts (1,1)
+    EXPECT_TRUE(b2.ok());
+  });
+  EXPECT_NE(cache.peek(CacheKey{1, 0}), nullptr);
+  EXPECT_EQ(cache.peek(CacheKey{1, 1}), nullptr);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0], (CacheKey{1, 1}));
+}
+
 TEST_F(FsTest, CacheEvictHookFiresOnEvictionAndInvalidation) {
   Disk disk(host_, MiB(1), KiB(8));
   BufferCache cache(host_, disk, 2, KiB(8));

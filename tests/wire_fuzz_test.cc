@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "nas/wire_util.h"
 #include "rpc/xdr.h"
@@ -356,6 +358,39 @@ TEST(WireFuzz, Checksum32ChainsAcrossRegions) {
     EXPECT_EQ(rpc::checksum32(ab), rpc::checksum32(b, rpc::checksum32(a)));
     // And the empty region is the identity under chaining.
     EXPECT_EQ(rpc::checksum32({}, rpc::checksum32(a)), rpc::checksum32(a));
+  }
+
+  // The standard CRC-32 check value, so the folding kernel and the table
+  // path cannot agree on a wrong answer.
+  const std::string check = "123456789";
+  const auto check_bytes = std::as_bytes(std::span(check));
+  EXPECT_EQ(~crc32_update(~0u, check_bytes), 0xCBF43926u);
+  EXPECT_EQ(~crc32_update_table(~0u, check_bytes), 0xCBF43926u);
+
+  // crc32_update folds the 16-byte-multiple prefix of spans of 64 bytes
+  // and more, and finishes on the table path. Against the table path
+  // alone: every length up to 300 and random lengths up to 70 KiB, at
+  // every start offset mod 16, whole and split at a random point.
+  constexpr std::size_t kMaxLen = 70 * 1024;
+  std::vector<std::byte> buf(kMaxLen + 16);
+  for (auto& x : buf) x = static_cast<std::byte>(rng.below(256));
+  auto agrees = [&](std::size_t off, std::size_t len) {
+    const auto s = std::span<const std::byte>(buf).subspan(off, len);
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    const std::uint32_t want = crc32_update_table(seed, s);
+    const std::size_t cut = rng.below(len + 1);
+    return crc32_update(seed, s) == want &&
+           crc32_update(crc32_update(seed, s.first(cut)), s.subspan(cut)) ==
+               want;
+  };
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      ASSERT_TRUE(agrees(off, len)) << "len " << len << " offset " << off;
+    }
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::size_t off = rng.below(16), len = rng.below(kMaxLen + 1);
+    ASSERT_TRUE(agrees(off, len)) << "len " << len << " offset " << off;
   }
 }
 
