@@ -102,53 +102,36 @@ class Cluster {
   nas::nfs::NfsServer& nfs_server() { return *nfs_server_; }
 
   // --- client factories ----------------------------------------------------
-  // Every factory wires the server-CPU echo for the client's signal plane:
-  // the client differences this cumulative busy time between its own ops.
-  void attach_server_cpu_probe(core::FileClient& cl) {
-    host::Host& srv = *server_host_;
-    cl.set_server_cpu_probe(
-        [&srv] { return static_cast<double>(srv.cpu().busy_time().ns) / 1e3; });
-  }
   std::unique_ptr<nas::nfs::NfsClient> make_nfs_client(
       unsigned i, Bytes transfer = KiB(512)) {
-    auto cl = std::make_unique<nas::nfs::NfsClient>(
+    return std::make_unique<nas::nfs::NfsClient>(
         *client_hosts_[i], client_udp(i), server_node(),
         static_cast<std::uint16_t>(700 + next_port_++), transfer,
         cfg_.rpc_retry);
-    attach_server_cpu_probe(*cl);
-    return cl;
   }
   std::unique_ptr<nas::nfs::NfsPrepostClient> make_prepost_client(
       unsigned i, Bytes transfer = KiB(512)) {
-    auto cl = std::make_unique<nas::nfs::NfsPrepostClient>(
+    return std::make_unique<nas::nfs::NfsPrepostClient>(
         *client_hosts_[i], client_udp(i), server_node(),
         static_cast<std::uint16_t>(700 + next_port_++), transfer,
         cfg_.rpc_retry);
-    attach_server_cpu_probe(*cl);
-    return cl;
   }
   std::unique_ptr<nas::nfs::NfsHybridClient> make_hybrid_client(
       unsigned i, Bytes transfer = KiB(512)) {
-    auto cl = std::make_unique<nas::nfs::NfsHybridClient>(
+    return std::make_unique<nas::nfs::NfsHybridClient>(
         *client_hosts_[i], client_udp(i), server_node(),
         static_cast<std::uint16_t>(700 + next_port_++), transfer,
         cfg_.rpc_retry);
-    attach_server_cpu_probe(*cl);
-    return cl;
   }
   std::unique_ptr<nas::dafs::DafsClient> make_dafs_client(
       unsigned i, nas::dafs::DafsClientConfig cfg = {}) {
-    auto cl = std::make_unique<nas::dafs::DafsClient>(*client_hosts_[i],
-                                                      server_node(), cfg);
-    attach_server_cpu_probe(*cl);
-    return cl;
+    return std::make_unique<nas::dafs::DafsClient>(*client_hosts_[i],
+                                                   server_node(), cfg);
   }
   std::unique_ptr<nas::odafs::OdafsClient> make_odafs_client(
       unsigned i, nas::odafs::OdafsClientConfig cfg = {}) {
-    auto cl = std::make_unique<nas::odafs::OdafsClient>(*client_hosts_[i],
-                                                        server_node(), cfg);
-    attach_server_cpu_probe(*cl);
-    return cl;
+    return std::make_unique<nas::odafs::OdafsClient>(*client_hosts_[i],
+                                                     server_node(), cfg);
   }
 
   // Register pull-gauges for every component's counters under
@@ -307,8 +290,6 @@ class Cluster {
               [&sig] { return sig.ref_hit_rate.value(); });
     reg.gauge(p + "/signals/op_bytes",
               [&sig] { return sig.op_bytes.value(); });
-    reg.gauge(p + "/signals/server_cpu",
-              [&sig] { return sig.server_cpu.value(); });
     reg.gauge(p + "/signals/exception_rate",
               [&sig] { return sig.exception_rate.value(); });
   }

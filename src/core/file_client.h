@@ -4,9 +4,7 @@
 // buffers in the client host's address space.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -43,18 +41,12 @@ class FileClient {
 
   // --- Signal plane (obs/signals.h) ----------------------------------------
   // Always-on EWMA estimators of the mechanism-selection signals (ref hit
-  // rate, op size, server CPU echo, ORDMA exception rate), populated by
-  // every protocol's op wrappers and exported as "<client>/signals/..."
-  // gauges. ORDMA-specific series (ref_hit_rate, exception_rate) stay at
-  // their unprimed zero for protocols without an ORDMA path, so the policy
-  // bench can trace comparable signal blocks for every arm.
+  // rate, op size, ORDMA exception rate), populated by every protocol's op
+  // wrappers and exported as "<client>/signals/..." gauges. ORDMA-specific
+  // series (ref_hit_rate, exception_rate) stay at their unprimed zero for
+  // protocols without an ORDMA path, so the policy bench can trace
+  // comparable signal blocks for every arm.
   const obs::OpSignals& signals() const { return signals_; }
-  // `fn` returns the server's cumulative CPU busy time in us; the client
-  // differences it against wall time between its own ops (the utilization
-  // a real server would echo in replies).
-  void set_server_cpu_probe(std::function<double()> fn) {
-    server_cpu_probe_ = std::move(fn);
-  }
 
   virtual sim::Task<Result<OpenResult>> open(const std::string& path) = 0;
   virtual sim::Task<Status> close(std::uint64_t fh) = 0;
@@ -90,36 +82,14 @@ class FileClient {
   }
   void note_retry() { ++stats_.retries; }
 
-  // Fold a data op's size and a fresh server-CPU sample into the signal
-  // block (call from pread/pwrite wrappers; `wall_us` = engine now in us).
-  void update_op_signals(Bytes op_len, double wall_us) {
+  // Fold a data op's size into the signal block (call from pread/pwrite
+  // wrappers).
+  void update_op_signals(Bytes op_len) {
     signals_.op_bytes.update(static_cast<double>(op_len));
-    sample_server_cpu(wall_us);
-  }
-  // Difference the cumulative busy-time echo into a utilization sample
-  // (call alone from metadata-op wrappers, which have no op size).
-  void sample_server_cpu(double wall_us) {
-    if (!server_cpu_probe_) return;
-    const double busy_us = server_cpu_probe_();
-    if (probe_primed_ && wall_us > last_probe_wall_us_) {
-      const double util = std::clamp(
-          (busy_us - last_probe_busy_us_) / (wall_us - last_probe_wall_us_),
-          0.0, 1.0);
-      signals_.server_cpu.update(util);
-    }
-    last_probe_busy_us_ = busy_us;
-    last_probe_wall_us_ = wall_us;
-    probe_primed_ = true;
   }
 
   OpStats stats_;
   obs::OpSignals signals_;
-
- private:
-  std::function<double()> server_cpu_probe_;
-  double last_probe_busy_us_ = 0;
-  double last_probe_wall_us_ = 0;
-  bool probe_primed_ = false;
 };
 
 }  // namespace ordma::core

@@ -13,7 +13,8 @@ DafsClient::DafsClient(host::Host& host, net::NodeId server,
       server_(server),
       cfg_(cfg),
       trk_app_(host.name(), "app"),
-      trk_rpc_(host.name(), "dafs.rpc") {}
+      waiters_(host.engine()),
+      retry_(host, cfg.retry, "dafs.rpc") {}
 
 sim::Task<Status> DafsClient::ensure_connected() {
   if (conn_) co_return Status::Ok();
@@ -51,10 +52,7 @@ sim::Task<void> DafsClient::rx_loop() {
       }
       continue;
     }
-    auto it = waiting_.find(req_id);
-    if (it == waiting_.end()) continue;   // late/duplicate: already answered
-    if (it->second->done.is_set()) continue;  // duplicate of this attempt
-    it->second->done.set(msg.slice(4, msg.size() - 4));
+    waiters_.deliver(req_id, msg.slice(4, msg.size() - 4));
   }
 }
 
@@ -73,53 +71,12 @@ sim::Task<Result<net::Buffer>> DafsClient::call(std::uint32_t proc,
   enc.raw(net::Buffer(args.finish()).view());
   const net::Buffer msg = enc.finish();
 
-  // Timeout 0 = wait forever (classic behavior on a lossless fabric).
   // Retransmits reuse req_id so the server's per-connection duplicate cache
   // suppresses re-execution and replays the cached reply.
-  const bool wait_forever = cfg_.retry.timeout.ns <= 0;
-  Duration timeout = cfg_.retry.timeout;
-  Result<net::Buffer> out = Errc::timed_out;
-  for (unsigned attempt = 1;; ++attempt) {
-    auto waiter = std::make_unique<Waiter>(host_.engine());
-    auto* wp = waiter.get();
-    waiting_[req_id] = std::move(waiter);  // fresh one-shot event per attempt
-    co_await conn_->send(net::Buffer(msg), trace_op);
-    const SimTime wait0 = host_.engine().now();
-    if (wait_forever) {
-      out = co_await wp->done.wait();
-      break;
-    }
-    auto got = co_await wp->done.wait_for(timeout);
-    if (got) {
-      out = std::move(*got);
-      break;
-    }
-    ++timeouts_;
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_timeout, req_id, 0, attempt);
-    // Same contract as rpc.cc: the timed-out wait is retransmit/backoff
-    // dead air; the tail explainer charges it to `rpc_retransmit` (lowest
-    // priority above `other`, so live work inside the window keeps its
-    // real cause).
-    obs::span(trk_rpc_, trace_op, "io/rpc_retransmit", wait0,
-              host_.engine().now());
-    if (attempt >= cfg_.retry.max_attempts) {  // out = timed_out
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::rpc_giveup, req_id, 0, attempt);
-      break;
-    }
-    ++retransmits_;
-    obs::note_op_retry(trace_op);
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_retransmit, req_id, 0,
-                          attempt + 1);
-    timeout = Duration{std::min<std::int64_t>(
-        static_cast<std::int64_t>(static_cast<double>(timeout.ns) *
-                                  cfg_.retry.backoff),
-        cfg_.retry.max_timeout.ns)};
-  }
-  waiting_.erase(req_id);
-  co_return out;
+  co_return co_await retry_.call(
+      waiters_, req_id, trace_op,
+      [&] { return conn_->send(net::Buffer(msg), trace_op); },
+      [](const std::optional<net::Buffer>& got) { return got.has_value(); });
 }
 
 void DafsClient::decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
@@ -366,7 +323,7 @@ sim::Task<Result<Bytes>> DafsClient::pread(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pread", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
+  update_op_signals(len);
   co_return r;
 }
 
@@ -451,7 +408,7 @@ sim::Task<Result<Bytes>> DafsClient::pwrite(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pwrite", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
+  update_op_signals(len);
   co_return r;
 }
 
@@ -492,7 +449,6 @@ sim::Task<Result<fs::Attr>> DafsClient::getattr(std::uint64_t fh) {
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/getattr", b, e);
   record_op(op, e - b, r.ok());
-  sample_server_cpu(static_cast<double>(e.ns) / 1000.0);
   co_return r;
 }
 

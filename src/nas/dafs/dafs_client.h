@@ -162,8 +162,8 @@ class DafsClient : public core::FileClient {
   host::Host& host() { return host_; }
   std::uint64_t rpcs_issued() const { return next_req_id_ - 1; }
   // --- reliability counters ------------------------------------------------
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeouts() const { return timeouts_; }
+  std::uint64_t retransmits() const { return retry_.retransmits(); }
+  std::uint64_t timeouts() const { return retry_.timeouts(); }
   // Direct reads re-issued because the landed bytes failed verification.
   std::uint64_t integrity_retries() const { return integrity_retries_; }
   // Server cache block size, learned from the first open reply (0 before).
@@ -198,18 +198,11 @@ class DafsClient : public core::FileClient {
   net::NodeId server_;
   DafsClientConfig cfg_;
   obs::Track trk_app_;  // root spans for this client's file ops
-  obs::Track trk_rpc_;  // retransmit/backoff dead-air spans (explainer)
+  rpc::WaiterTable<net::Buffer> waiters_;
+  rpc::RetryLoop retry_;
   std::unique_ptr<msg::ViConnection> conn_;
   std::uint32_t next_req_id_ = 1;
 
-  struct Waiter {
-    explicit Waiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<net::Buffer> done;
-  };
-  std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
-
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeouts_ = 0;
   std::uint64_t integrity_retries_ = 0;
   std::uint64_t invalidates_rx_ = 0;
   InvalidateHandler on_invalidate_;

@@ -10,7 +10,12 @@ namespace ordma::nas::dafs {
 
 namespace {
 std::uint32_t err_u32(Errc e) { return static_cast<std::uint32_t>(e); }
-}
+
+// Invalidation delivery: retransmit until acked, give up (and drop the
+// holder) after this many attempts.
+constexpr unsigned kInvalMaxAttempts = 4;
+constexpr Duration kInvalTimeout = usec(300);
+}  // namespace
 
 DafsServer::DafsServer(host::Host& host, fs::ServerFs& fs,
                        DafsServerConfig cfg)
@@ -54,8 +59,7 @@ sim::Task<void> DafsServer::serve_connection(
   // handler sends its own reply on the shared connection and clients match
   // replies to requests by req_id.
   msg::ViConnection& c = *conn;
-  auto cache = std::make_shared<ConnCache>();
-  auto state = std::make_shared<ConnState>();
+  auto state = std::make_shared<ConnState>(host_.engine());
   state->id = next_conn_id_++;
   state->conn = &c;
   conns_.emplace(state->id, state);
@@ -72,16 +76,12 @@ sim::Task<void> DafsServer::serve_connection(
         if (proc == kInvalidateAck) {
           host_.flight().record(host_.engine().now().ns,
                                 obs::flight::Ev::inval_ack, rid);
-          if (auto it = state->waiting.find(rid);
-              it != state->waiting.end() && !it->second->done.is_set()) {
-            it->second->done.set();  // re-acked duplicates are ignored
-          }
+          state->waiters.deliver(rid);  // re-acked duplicates are ignored
         }
         continue;
       }
     }
     host_.engine().spawn([](DafsServer& srv, msg::ViConnection& c,
-                            std::shared_ptr<ConnCache> cache,
                             std::shared_ptr<ConnState> state,
                             nic::Nic::GmMessage msg) -> sim::Task<void> {
       const obs::OpId op = msg.trace_op;
@@ -91,33 +91,31 @@ sim::Task<void> DafsServer::serve_connection(
         req_id = peek.u32();
         if (!peek.ok()) co_return;  // runt frame
       }
-      if (auto it = cache->done.find(req_id); it != cache->done.end()) {
-        // Retransmission of a completed request: replay the cached reply
-        // without re-executing the handler (mutations must not re-run).
-        ++srv.dup_replays_;
-        co_await c.send(net::Buffer(it->second), op);
-        co_return;
-      }
-      if (!cache->in_progress.insert(req_id).second) {
-        ++srv.dup_drops_;  // original still executing; its reply will do
+      auto dup = state->dups.admit(req_id);
+      if (dup.kind == dup.drop) co_return;  // the original's reply will do
+      if (dup.kind == dup.replay) {
+        // Mutations must not re-run: resend the cached reply.
+        co_await c.send(std::move(dup.reply), op);
         co_return;
       }
       net::Buffer reply =
           co_await srv.handle(c, std::move(msg.data), op, state->id);
-      cache->in_progress.erase(req_id);
-      // Large replies (inline read data) are not worth caching; those
-      // requests are idempotent and simply re-execute on a late duplicate.
-      if (reply.size() <= kMaxCachedReply) {
-        cache->done.emplace(req_id, net::Buffer(reply));
-        cache->order.push_back(req_id);
-        while (cache->order.size() > kConnCacheCap) {
-          cache->done.erase(cache->order.front());
-          cache->order.pop_front();
-        }
-      }
+      state->dups.complete(req_id, reply, reply.size());
       co_await c.send(std::move(reply), op);
-    }(*this, c, cache, state, std::move(msg)));
+    }(*this, c, state, std::move(msg)));
   }
+}
+
+std::uint64_t DafsServer::dup_replays() const {
+  std::uint64_t n = 0;
+  for (const auto& [id, cs] : conns_) n += cs->dups.replays();
+  return n;
+}
+
+std::uint64_t DafsServer::dup_drops() const {
+  std::uint64_t n = 0;
+  for (const auto& [id, cs] : conns_) n += cs->dups.drops();
+  return n;
 }
 
 void DafsServer::piggyback(rpc::XdrEncoder& out, fs::Ino ino,
@@ -487,9 +485,7 @@ sim::Task<bool> DafsServer::send_invalidate(std::uint64_t conn_id,
   if (cit == conns_.end()) co_return true;  // connection gone: nothing holds
   auto cs = cit->second;
   const std::uint32_t rid = kSrvReqBit | cs->next_srv_req++;
-  auto waiter = std::make_unique<SrvWaiter>(host_.engine());
-  SrvWaiter& w = *waiter;
-  cs->waiting.emplace(rid, std::move(waiter));
+  sim::Event<>& ack = cs->waiters.arm(rid);
 
   rpc::XdrEncoder enc;
   enc.u32(rid);
@@ -498,20 +494,22 @@ sim::Task<bool> DafsServer::send_invalidate(std::uint64_t conn_id,
   const net::Buffer frame = enc.finish();
 
   // Lossy network: retransmit the invalidation (same server req_id — the
-  // client side is idempotent and re-acks) a bounded number of times, then
-  // give up and drop the holder: its next read re-registers it.
+  // client side is idempotent and re-acks) a bounded number of times at a
+  // fixed interval, then give up and drop the holder: its next read
+  // re-registers it. Not rpc::RetryLoop: its backoff spans would land in
+  // the writer's trace.
   bool acked = false;
-  for (unsigned attempt = 1; attempt <= cfg_.inval_max_attempts; ++attempt) {
+  for (unsigned attempt = 1; attempt <= kInvalMaxAttempts; ++attempt) {
     ++invals_sent_;
     host_.flight().record(host_.engine().now().ns,
                           obs::flight::Ev::inval_send, ino, fbn, attempt);
     co_await cs->conn->send(net::Buffer(frame), trace_op);
-    if (co_await w.done.wait_for(cfg_.inval_timeout)) {
+    if (co_await ack.wait_for(kInvalTimeout)) {
       acked = true;
       break;
     }
   }
-  cs->waiting.erase(rid);
+  cs->waiters.erase(rid);
   if (!acked) ++inval_giveups_;
   co_return acked;
 }

@@ -17,7 +17,6 @@
 // version.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -27,6 +26,7 @@
 #include "host/host.h"
 #include "msg/vi.h"
 #include "nas/dafs/dafs_proto.h"
+#include "rpc/session.h"
 #include "rpc/xdr.h"
 #include "sim/event.h"
 
@@ -48,10 +48,6 @@ struct DafsServerConfig {
   // Deferred flush of put-dirtied cache blocks (0 = rely on eviction
   // write-back and explicit sync only).
   Duration flush_interval{0};
-  // Invalidation delivery policy: retransmit until acked, give up (and
-  // drop the holder) after this many attempts.
-  unsigned inval_max_attempts = 4;
-  Duration inval_timeout = usec(300);
 };
 
 class DafsServer {
@@ -65,8 +61,8 @@ class DafsServer {
   host::Host& host() { return host_; }
   // Duplicate (retransmitted) requests answered from the per-connection
   // reply cache / dropped because the original is still executing.
-  std::uint64_t dup_replays() const { return dup_replays_; }
-  std::uint64_t dup_drops() const { return dup_drops_; }
+  std::uint64_t dup_replays() const;
+  std::uint64_t dup_drops() const;
   // --- ORDMA write path / coherence counters -------------------------------
   std::uint64_t put_commits() const { return put_commits_; }
   std::uint64_t put_rejects() const { return put_rejects_; }
@@ -93,32 +89,19 @@ class DafsServer {
   }
 
  private:
-  // Per-connection duplicate-request suppression: req_ids are unique per
-  // connection, so a retransmission of an executing request is dropped and
-  // one of a completed request is answered from the cached reply without
-  // re-executing the handler. Shared with the spawned request handlers so
-  // it survives however long they run.
-  struct ConnCache {
-    std::unordered_set<std::uint32_t> in_progress;
-    std::unordered_map<std::uint32_t, net::Buffer> done;
-    std::deque<std::uint32_t> order;  // FIFO eviction of `done`
-  };
-  static constexpr std::size_t kConnCacheCap = 256;
-  static constexpr Bytes kMaxCachedReply = KiB(64);
-
   // A registered client connection: the endpoint for server-initiated
-  // invalidations, plus the waiter table matching invalidation acks back
-  // to their send loops. Lives as long as the server (connections never
-  // close in the simulated workloads).
-  struct SrvWaiter {
-    explicit SrvWaiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<> done;
-  };
+  // invalidations and the waiter table matching their acks back to the
+  // send loops, plus the connection's duplicate-request cache (req_ids are
+  // unique per connection). Shared with the spawned request handlers so it
+  // survives however long they run; lives as long as the server
+  // (connections never close in the simulated workloads).
   struct ConnState {
+    explicit ConnState(sim::Engine& eng) : waiters(eng) {}
     std::uint64_t id = 0;
     msg::ViConnection* conn = nullptr;
     std::uint32_t next_srv_req = 1;
-    std::unordered_map<std::uint32_t, std::unique_ptr<SrvWaiter>> waiting;
+    rpc::WaiterTable<void> waiters;
+    rpc::DupCache<std::uint32_t, net::Buffer> dups;
   };
 
   // Per-block sharing state: the commit version and which connections hold
@@ -175,8 +158,6 @@ class DafsServer {
   msg::ViListener listener_;
   std::uint64_t served_ = 0;
   std::uint64_t exported_ = 0;
-  std::uint64_t dup_replays_ = 0;
-  std::uint64_t dup_drops_ = 0;
   std::optional<crypto::Capability> attr_region_cap_;
 
   std::uint64_t next_conn_id_ = 1;

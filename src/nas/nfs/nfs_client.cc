@@ -96,7 +96,7 @@ sim::Task<Result<Bytes>> NfsClientBase::pread(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pread", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
+  update_op_signals(len);
   co_return r;
 }
 
@@ -125,7 +125,7 @@ sim::Task<Result<Bytes>> NfsClientBase::pwrite(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pwrite", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
+  update_op_signals(len);
   co_return r;
 }
 
@@ -167,7 +167,6 @@ sim::Task<Result<fs::Attr>> NfsClientBase::getattr(std::uint64_t fh) {
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/getattr", b, e);
   record_op(op, e - b, r.ok());
-  sample_server_cpu(static_cast<double>(e.ns) / 1000.0);
   co_return r;
 }
 

@@ -24,7 +24,7 @@ OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
       dafs_(host, server, cfg.dafs),
       cache_(host, cfg.cache),
       trk_app_(host.name(), "app"),
-      policy_(cfg.policy, &signals_) {
+      policy_(cfg.policy) {
   dafs_.set_invalidate_handler(
       [this](std::uint64_t ino, std::uint64_t fbn, std::uint64_t version) {
         handle_invalidate(ino, fbn, version);
@@ -37,10 +37,6 @@ std::size_t OdafsClient::writeback_high_water() const {
     return std::min(cfg_.writeback_high_water, cap);
   }
   return std::max<std::size_t>(1, cache_.data_capacity() / 4);
-}
-
-double OdafsClient::wall_us() const {
-  return static_cast<double>(host_.engine().now().ns) / 1000.0;
 }
 
 sim::Task<Status> OdafsClient::ensure_slab_registered(obs::OpId op) {
@@ -324,7 +320,7 @@ sim::Task<Result<Bytes>> OdafsClient::pread(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pread", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, wall_us());
+  update_op_signals(len);
   co_return r;
 }
 
@@ -421,7 +417,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite(std::uint64_t fh, Bytes off,
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/pwrite", b, e);
   record_op(op, e - b, r.ok());
-  update_op_signals(len, wall_us());
+  update_op_signals(len);
   co_return r;
 }
 
@@ -839,7 +835,6 @@ sim::Task<Result<fs::Attr>> OdafsClient::getattr(std::uint64_t fh) {
   const SimTime e = host_.engine().now();
   obs::root(trk_app_, op, "op/getattr", b, e);
   record_op(op, e - b, r.ok());
-  sample_server_cpu(wall_us());
   co_return r;
 }
 

@@ -171,7 +171,6 @@ class OdafsClient : public core::FileClient {
   void handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
                          std::uint64_t version);
   std::size_t writeback_high_water() const;
-  double wall_us() const;
 
   struct Inflight {
     explicit Inflight(sim::Engine& eng) : done(eng) {}

@@ -3,8 +3,8 @@
 //
 // The paper's Fig. 7 crossover (and RFP's RPC-vs-remote-read analysis)
 // says mechanism selection hinges on a handful of runtime signals: does
-// this client's reference directory hit, how big are its ops, how loaded
-// is the server, how often do its ORDMA accesses fault. This header gives
+// this client's reference directory hit, how big are its ops, how often do
+// its ORDMA accesses fault. This header gives
 // clients a tiny always-on estimator block for exactly those signals —
 // exponentially weighted moving averages, O(1) state, a few flops per op,
 // no RNG, no scheduling, no observability dependency — and the cluster
@@ -43,9 +43,6 @@ struct OpSignals {
   Ewma ref_hit_rate{0.2};
   // Bytes per file op — RFP's crossover moves with request size.
   Ewma op_bytes{0.2};
-  // Server CPU utilization estimate in [0,1]: the busy-time gauge echoed
-  // to the client, differenced between this client's ops.
-  Ewma server_cpu{0.2};
   // Fraction of ORDMA attempts that faulted (stale/revoked reference).
   Ewma exception_rate{0.2};
 };

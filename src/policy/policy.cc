@@ -1,13 +1,10 @@
 #include "policy/policy.h"
 
-#include <algorithm>
 
 namespace ordma::policy {
 
-PolicyEngine::PolicyEngine(const PolicyConfig& cfg,
-                           const obs::OpSignals* signals)
+PolicyEngine::PolicyEngine(const PolicyConfig& cfg)
     : cfg_(cfg),
-      sig_(signals),
       ordma_us_(cfg.alpha),
       rpc_read_us_(cfg.alpha),
       exception_us_(cfg.alpha),
@@ -33,13 +30,6 @@ void PolicyEngine::rate_update(double& rate, bool hit) {
   }
 }
 
-double PolicyEngine::load_scale() const {
-  const double cpu =
-      sig_ && sig_->server_cpu.primed() ? sig_->server_cpu.value() : 0.0;
-  return 1.0 + cfg_.server_cpu_weight *
-                   std::max(0.0, cpu - cfg_.server_cpu_knee);
-}
-
 double PolicyEngine::read_cost(ReadMech m) const {
   if (m == ReadMech::ordma) {
     // Expected cost of trying ORDMA first: the get itself, plus — at the
@@ -48,16 +38,13 @@ double PolicyEngine::read_cost(ReadMech m) const {
     return ordma_us_.value() +
            exc_rate_ * (exception_us_.value() + rpc_read_us_.value());
   }
-  // RPC consumes server CPU per byte; under saturation the latency
-  // estimate lags (queueing grows while the policy avoids RPC), so the
-  // fresher CPU gauge scales the modeled cost up past the knee.
-  return rpc_read_us_.value() * load_scale();
+  return rpc_read_us_.value();
 }
 
 double PolicyEngine::write_cost(WriteArm arm) const {
   switch (arm) {
     case WriteArm::rpc:
-      return rpc_write_us_.value() * load_scale();
+      return rpc_write_us_.value();
     case WriteArm::put:
       // A put that finds no usable write reference degrades to RPC; charge
       // that path at the observed degradation rate.

@@ -5,8 +5,9 @@
 // says the RPC-vs-remote-read crossover moves with request size and server
 // load. So no static mechanism choice is right across a run — this engine
 // decides *per I/O* which mechanism to issue, from a small cost model over
-// the live per-client signal block (obs/signals.h) plus its own
-// per-mechanism latency estimators.
+// its own per-mechanism latency and fault-rate estimators (the EWMAs of
+// obs/signals.h). A client cannot see the server's CPU; a load the cost
+// model needs would have to ride in reply headers.
 //
 // Design constraints, in order:
 //  * Deterministic. No RNG, no scheduling, no simulated time consumed by a
@@ -72,13 +73,6 @@ struct PolicyConfig {
   // changes durability semantics (dirty data survives in the client until
   // flush/sync), so callers opt in explicitly.
   bool allow_write_back = false;
-
-  // Server-CPU pressure term: above `server_cpu_knee` utilization, modeled
-  // RPC cost is scaled by (1 + server_cpu_weight * (cpu - knee)) — the CPU
-  // gauge is fresher than a stale RPC latency estimate when the policy has
-  // been avoiding RPC.
-  double server_cpu_knee = 0.85;
-  double server_cpu_weight = 2.0;
 };
 
 class PolicyEngine {
@@ -93,9 +87,7 @@ class PolicyEngine {
     std::uint64_t write_explored = 0;   // forced-exploration writes
   };
 
-  // `signals` is the owning client's live signal block (may be null in
-  // tests); the engine reads it, never writes it.
-  PolicyEngine(const PolicyConfig& cfg, const obs::OpSignals* signals);
+  explicit PolicyEngine(const PolicyConfig& cfg);
 
   bool enabled() const { return cfg_.enabled; }
   bool adapts_writes() const { return cfg_.enabled && cfg_.adapt_writes; }
@@ -128,13 +120,11 @@ class PolicyEngine {
   const Counters& counters() const { return n_; }
 
  private:
-  double load_scale() const;
   // Asymmetric update for a binary rate: attack at cfg_.alpha, release by
   // cfg_.fault_decay (see PolicyConfig::fault_decay).
   void rate_update(double& rate, bool hit);
 
   PolicyConfig cfg_;
-  const obs::OpSignals* sig_;
 
   // Per-mechanism latency estimators (seeded from the priors).
   obs::Ewma ordma_us_;

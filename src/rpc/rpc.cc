@@ -72,9 +72,8 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
 
   co_await host_.cpu_consume(cm.rpc_client_issue, trace_op, "io/rpc_issue");
   if (prepost) {
-    // Hand the tagged buffer descriptor to the NIC (§3.2).
+    // The tagged buffer descriptor goes to the NIC (§3.2) with each send.
     co_await host_.cpu_consume(cm.nic_prepost, trace_op, "io/register");
-    host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
   }
 
   XdrEncoder enc;
@@ -86,80 +85,37 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
   enc.raw(args.view());
   const net::Buffer msg = seal_message(enc);
 
-  const bool wait_forever = retry_.timeout.ns <= 0;
-  const unsigned max_attempts = std::max(1u, retry_.max_attempts);
-  Duration timeout = retry_.timeout;
-  Result<RpcReplyInfo> out = Errc::timed_out;
-  for (unsigned attempt = 1;; ++attempt) {
-    auto waiter = std::make_unique<Waiter>(host_.engine());
-    auto* wp = waiter.get();
-    waiting_[xid] = std::move(waiter);  // supersedes any prior attempt's
-
-    co_await socket_.send_to(server, server_port, net::Buffer(msg),
-                             /*rddp_xid=*/0, /*rddp_data_offset=*/0,
-                             /*rddp_data_len=*/0, /*gather_send=*/false,
-                             trace_op);
-
-    const SimTime wait0 = host_.engine().now();
-    std::optional<RpcReplyInfo> got;
-    if (wait_forever) {
-      got = co_await wp->done.wait();
-    } else {
-      got = co_await wp->done.wait_for(timeout);
+  auto send = [&] {
+    // Arm the prepost; a retransmission re-arms it (the last attempt's
+    // reply consumed it, or accept() disarmed it).
+    if (prepost) {
+      host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
     }
+    return socket_.send_to(server, server_port, net::Buffer(msg),
+                           /*rddp_xid=*/0, /*rddp_data_offset=*/0,
+                           /*rddp_data_len=*/0, /*gather_send=*/false,
+                           trace_op);
+  };
+  auto accept = [&](const std::optional<RpcReplyInfo>& got) {
     // A reply that did not consume the prepost leaves it armed; disarm
     // before accepting so no late duplicate can scribble on the buffer
     // after we return.
     if (prepost && (!got || !got->rddp_placed)) {
       host_.nic().cancel_prepost(xid);
     }
-
-    if (got) {
-      if (reply_checksum_ok(*got, prepost)) {
-        host_.flight().record(host_.engine().now().ns,
-                              obs::flight::Ev::rpc_reply, xid, got->status);
-        out = std::move(*got);
-        break;
-      }
+    if (!got) return false;
+    if (!reply_checksum_ok(*got, prepost)) {
       ++cksum_drops_;
       host_.flight().record(host_.engine().now().ns,
                             obs::flight::Ev::rpc_cksum_drop, xid);
-      out = Errc::io_error;  // stands only if attempts are exhausted
-    } else {
-      ++timeouts_;
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::rpc_timeout, xid, 0, attempt);
-      // The whole timed-out wait is retransmit/backoff dead time: nothing
-      // the op was charged for happened between the lost exchange and this
-      // instant. The tail explainer blames it on `rpc_retransmit` (lower
-      // priority than real work recorded inside the window, so live costs
-      // of the lost attempt keep their own causes).
-      obs::span(rpc_track_, trace_op, "io/rpc_retransmit", wait0,
-                host_.engine().now());
-      out = Errc::timed_out;
+      return false;
     }
-    if (wait_forever || attempt >= max_attempts) {
-      if (!out.ok()) {
-        host_.flight().record(host_.engine().now().ns,
-                              obs::flight::Ev::rpc_giveup, xid, 0, attempt);
-      }
-      break;
-    }
-    ++retransmits_;
-    obs::note_op_retry(trace_op);
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_retransmit, xid, 0,
-                          attempt + 1);
-    if (prepost) {
-      // Re-arm for the retransmission (consumed or disarmed above).
-      host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
-    }
-    timeout = Duration{std::min<std::int64_t>(
-        static_cast<std::int64_t>(static_cast<double>(timeout.ns) *
-                                  retry_.backoff),
-        retry_.max_timeout.ns)};
-  }
-  waiting_.erase(xid);
+    host_.flight().record(host_.engine().now().ns, obs::flight::Ev::rpc_reply,
+                          xid, got->status);
+    return true;
+  };
+  Result<RpcReplyInfo> out =
+      co_await retry_.call(waiters_, xid, trace_op, send, accept);
   co_await host_.cpu_consume(cm.rpc_client_complete, trace_op,
                              "io/rpc_complete");
   co_return out;
@@ -175,9 +131,6 @@ sim::Task<void> RpcClient::rx_loop() {
     dec.u32();  // trace echo
     dec.u32();  // cksum — verified in call() against the raw bytes
     if (!dec.ok() || type != kRpcReply) continue;
-    auto it = waiting_.find(xid);
-    if (it == waiting_.end()) continue;       // duplicate/late reply
-    if (it->second->done.is_set()) continue;  // duplicate within one attempt
 
     RpcReplyInfo info;
     info.status = status;
@@ -186,7 +139,7 @@ sim::Task<void> RpcClient::rx_loop() {
     info.raw = d.data;
     info.rddp_placed = d.rddp_placed;
     info.rddp_data_len = d.rddp_data_len;
-    it->second->done.set(std::move(info));
+    waiters_.deliver(xid, std::move(info));  // late duplicates are dropped
   }
 }
 
@@ -199,17 +152,6 @@ sim::Task<void> RpcServer::rx_loop() {
     msg::UdpDatagram d = co_await socket_.recv();
     // One logical nfsd thread per request; the host CPU serialises work.
     host_.engine().spawn(serve_one(std::move(d)));
-  }
-}
-
-void RpcServer::trim_reply_cache() {
-  while (reply_cache_.size() > kReplyCacheCap && !reply_order_.empty()) {
-    const ReplyKey k = reply_order_.front();
-    reply_order_.pop_front();
-    auto it = reply_cache_.find(k);
-    if (it != reply_cache_.end() && !it->second.in_progress) {
-      reply_cache_.erase(it);
-    }
   }
 }
 
@@ -236,38 +178,33 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
   }
 
   const ReplyKey key{d.src, d.src_port, xid};
-  if (auto it = reply_cache_.find(key); it != reply_cache_.end()) {
-    if (it->second.in_progress) {
-      // Original still executing; its reply will serve the retransmission.
-      ++dup_drops_;
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::srv_dup_drop, xid);
-      co_return;
-    }
-    ++dup_replays_;
+  auto dup = dups_.admit(key);
+  if (dup.kind == dup.drop) {
+    // Original still executing; its reply will serve the retransmission.
     host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::srv_dup_replay, xid);
-    // Copy out: the iterator may be invalidated by inserts across awaits.
-    ReplyEntry e = it->second;
-    co_await host_.cpu().consume_parts(
-        trace, std::array<sim::Resource::Part, 2>{{
-                   {cm.cpu_schedule, "io/sched"},
-                   {cm.rpc_server_dispatch, "io/rpc_dispatch"},
-               }});
-    co_await socket_.send_to(d.src, d.src_port, std::move(e.reply),
-                             e.rddp_xid, e.data_offset, e.data_len,
-                             e.gather_send, trace);
+                          obs::flight::Ev::srv_dup_drop, xid);
     co_return;
   }
-  reply_cache_.emplace(key, ReplyEntry{});  // in-progress marker
-  host_.flight().record(host_.engine().now().ns, obs::flight::Ev::srv_serve,
-                        xid, proc);
-
+  const bool replay = dup.kind == dup.replay;
+  if (replay) {
+    host_.flight().record(host_.engine().now().ns,
+                          obs::flight::Ev::srv_dup_replay, xid);
+  } else {
+    host_.flight().record(host_.engine().now().ns,
+                          obs::flight::Ev::srv_serve, xid, proc);
+  }
   co_await host_.cpu().consume_parts(
       trace, std::array<sim::Resource::Part, 2>{{
                  {cm.cpu_schedule, "io/sched"},
                  {cm.rpc_server_dispatch, "io/rpc_dispatch"},
              }});
+  if (replay) {
+    ReplyEntry& e = dup.reply;
+    co_await socket_.send_to(d.src, d.src_port, std::move(e.reply),
+                             e.rddp_xid, e.data_offset, e.data_len,
+                             e.gather_send, trace);
+    co_return;
+  }
 
   RpcCallCtx ctx;
   ctx.client = d.src;
@@ -301,21 +238,10 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
   net::Buffer wire = seal_message(enc);
   const std::uint32_t rddp_xid = data_len > 0 ? xid : 0;
 
-  // Record the sealed reply before sending so a duplicate arriving during
-  // the send already replays instead of re-executing.
-  if (wire.size() <= kMaxCachedReply) {
-    ReplyEntry& e = reply_cache_[key];
-    e.in_progress = false;
-    e.reply = wire;
-    e.rddp_xid = rddp_xid;
-    e.data_offset = data_offset;
-    e.data_len = data_len;
-    e.gather_send = reply.gather_send;
-    reply_order_.push_back(key);
-    trim_reply_cache();
-  } else {
-    reply_cache_.erase(key);
-  }
+  dups_.complete(key,
+                 ReplyEntry{wire, rddp_xid, data_offset, data_len,
+                            reply.gather_send},
+                 wire.size());
 
   co_await socket_.send_to(d.src, d.src_port, std::move(wire), rddp_xid,
                            data_offset, data_len, reply.gather_send, trace);

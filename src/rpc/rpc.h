@@ -17,23 +17,22 @@
 // that escapes the link-level CRC. A failed check is treated as a lost
 // datagram and recovered by retransmission.
 //
-// Reliability (exercised by fault injection, free of cost otherwise): a
-// client retransmits after a timeout with exponential backoff (RpcRetryPolicy;
-// the default policy waits forever, preserving classic behaviour), and the
-// server suppresses duplicate execution with a bounded per-(client,port,xid)
-// reply cache that replays the original reply for completed requests and
-// drops duplicates of requests still in progress.
+// Reliability (exercised by fault injection, free of cost otherwise) is the
+// session layer's (rpc/session.h), shared with DAFS: the client retransmits
+// after a timeout with exponential backoff (RpcRetryPolicy; the default
+// policy waits forever, preserving classic behaviour) and treats a reply
+// failing its checksum as lost, and the server suppresses duplicate
+// execution with a DupCache keyed by (client, port, xid).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "host/host.h"
 #include "msg/udp.h"
+#include "rpc/session.h"
 #include "rpc/xdr.h"
 #include "sim/event.h"
 #include "sim/task.h"
@@ -44,15 +43,6 @@ inline constexpr std::uint32_t kRpcCall = 0;
 inline constexpr std::uint32_t kRpcReply = 1;
 inline constexpr Bytes kRpcHeaderBytes = 20;
 inline constexpr Bytes kRpcCksumOffset = 16;
-
-// Client-side timeout/retransmission policy. The default (timeout 0) waits
-// forever and never retransmits — the classic lossless-fabric behaviour.
-struct RpcRetryPolicy {
-  Duration timeout{0};        // initial reply timeout; 0 = wait forever
-  unsigned max_attempts = 1;  // total transmissions before giving up
-  double backoff = 2.0;       // timeout multiplier per retransmission
-  Duration max_timeout = msec(100);
-};
 
 struct RpcReplyInfo {
   std::uint32_t status = 0;      // protocol-level status (Errc as u32)
@@ -75,14 +65,12 @@ class RpcClient {
             RpcRetryPolicy retry = {})
       : host_(host),
         socket_(stack.bind(local_port)),
-        retry_(retry),
-        rpc_track_(host.name(), "rpc") {
+        waiters_(host.engine()),
+        retry_(host, retry, "rpc") {
     host.engine().spawn(rx_loop());
   }
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
-
-  void set_retry_policy(RpcRetryPolicy retry) { retry_ = retry; }
 
   // Issue one call and await its reply. `trace_op` is marshalled into the
   // call header and echoed by the server's reply.
@@ -93,30 +81,19 @@ class RpcClient {
                                        obs::OpId trace_op = 0);
 
   std::uint64_t calls_issued() const { return next_xid_ - 1; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeouts() const { return timeouts_; }
+  std::uint64_t retransmits() const { return retry_.retransmits(); }
+  std::uint64_t timeouts() const { return retry_.timeouts(); }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
 
  private:
   sim::Task<void> rx_loop();
   bool reply_checksum_ok(const RpcReplyInfo& info, const Prepost* prepost);
 
-  struct Waiter {
-    explicit Waiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<RpcReplyInfo> done;
-  };
-
   host::Host& host_;
   msg::UdpStack::Socket& socket_;
-  RpcRetryPolicy retry_;
-  // Track for retransmit-backoff spans ("io/rpc_retransmit"): the dead
-  // window between a lost attempt and its retransmission, which the tail
-  // explainer (obs/explain.h) surfaces as a first-class cause.
-  obs::Track rpc_track_;
+  WaiterTable<RpcReplyInfo> waiters_;
+  RetryLoop retry_;
   std::uint32_t next_xid_ = 1;
-  std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeouts_ = 0;
   std::uint64_t cksum_drops_ = 0;
 };
 
@@ -155,19 +132,13 @@ class RpcServer {
   }
 
   std::uint64_t requests_served() const { return served_; }
-  std::uint64_t dup_replays() const { return dup_replays_; }
-  std::uint64_t dup_drops() const { return dup_drops_; }
+  std::uint64_t dup_replays() const { return dups_.replays(); }
+  std::uint64_t dup_drops() const { return dups_.drops(); }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
 
  private:
-  // Duplicate-request suppression (classic NFS xid cache). Entries for
-  // requests still executing drop duplicates; completed entries replay the
-  // sealed reply datagram. Bounded FIFO; replies above kMaxCachedReply are
-  // not retained (re-executing a large read is idempotent and cheaper than
-  // pinning megabytes of reply buffers).
-  static constexpr std::size_t kReplyCacheCap = 256;
-  static constexpr Bytes kMaxCachedReply = KiB(64);
-
+  // Duplicate-request suppression (classic NFS xid cache), keyed by the
+  // caller's (client, port, xid).
   struct ReplyKey {
     net::NodeId client = net::kInvalidNode;
     std::uint16_t port = 0;
@@ -185,7 +156,6 @@ class RpcServer {
     }
   };
   struct ReplyEntry {
-    bool in_progress = true;
     net::Buffer reply;  // sealed datagram (header | results | bulk)
     std::uint32_t rddp_xid = 0;
     Bytes data_offset = 0;
@@ -195,16 +165,12 @@ class RpcServer {
 
   sim::Task<void> rx_loop();
   sim::Task<void> serve_one(msg::UdpDatagram d);
-  void trim_reply_cache();
 
   host::Host& host_;
   msg::UdpStack::Socket& socket_;
   std::unordered_map<std::uint32_t, Handler> handlers_;
-  std::unordered_map<ReplyKey, ReplyEntry, ReplyKeyHash> reply_cache_;
-  std::deque<ReplyKey> reply_order_;  // completed entries only, FIFO
+  DupCache<ReplyKey, ReplyEntry, ReplyKeyHash> dups_;
   std::uint64_t served_ = 0;
-  std::uint64_t dup_replays_ = 0;
-  std::uint64_t dup_drops_ = 0;
   std::uint64_t cksum_drops_ = 0;
 };
 

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "obs/signals.h"
 #include "policy/policy.h"
 
 namespace ordma::policy {
@@ -22,13 +21,13 @@ PolicyConfig enabled_config() {
 TEST(PolicyEngine, DisabledByDefaultAndGatesWriteBack) {
   PolicyConfig def;
   EXPECT_FALSE(def.enabled);
-  PolicyEngine off(def, nullptr);
+  PolicyEngine off(def);
   EXPECT_FALSE(off.enabled());
   EXPECT_FALSE(off.adapts_writes());
   EXPECT_FALSE(off.may_write_back());
 
   PolicyConfig on = enabled_config();
-  PolicyEngine eng(on, nullptr);
+  PolicyEngine eng(on);
   EXPECT_TRUE(eng.enabled());
   EXPECT_TRUE(eng.adapts_writes());
   // allow_write_back defaults off: write-back changes durability semantics.
@@ -38,7 +37,7 @@ TEST(PolicyEngine, DisabledByDefaultAndGatesWriteBack) {
 TEST(PolicyEngine, HoldsPreferenceInsideGuardBand) {
   PolicyConfig cfg = enabled_config();
   cfg.guard_band = 0.15;
-  PolicyEngine eng(cfg, nullptr);
+  PolicyEngine eng(cfg);
   ASSERT_EQ(eng.read_pref(), ReadMech::ordma);
   // Make RPC slightly cheaper than ORDMA — but within the guard band, so
   // the incumbent must hold (no flapping at the crossover).
@@ -53,7 +52,7 @@ TEST(PolicyEngine, HoldsPreferenceInsideGuardBand) {
 
 TEST(PolicyEngine, FlipsOncePastGuardBandAndFlipsBack) {
   PolicyConfig cfg = enabled_config();
-  PolicyEngine eng(cfg, nullptr);
+  PolicyEngine eng(cfg);
   // Faulting ORDMA: every attempt burns an exception round trip, so the
   // modeled ORDMA cost climbs well past RPC's.
   for (int i = 0; i < 64; ++i) {
@@ -75,7 +74,7 @@ TEST(PolicyEngine, FlipsOncePastGuardBandAndFlipsBack) {
 TEST(PolicyEngine, ExplorationCadenceIsDeterministic) {
   PolicyConfig cfg = enabled_config();
   cfg.explore_every = 4;
-  PolicyEngine eng(cfg, nullptr);
+  PolicyEngine eng(cfg);
   std::vector<ReadMech> picks;
   for (int i = 0; i < 12; ++i) picks.push_back(eng.choose_read());
   // Every 4th decision (1-indexed) must issue the disfavored mechanism.
@@ -90,7 +89,7 @@ TEST(PolicyEngine, ExplorationCadenceIsDeterministic) {
 TEST(PolicyEngine, WriteBackArmRequiresOptIn) {
   PolicyConfig cfg = enabled_config();
   cfg.explore_every = 8;
-  PolicyEngine eng(cfg, nullptr);
+  PolicyEngine eng(cfg);
   // Make write-back look free; without the opt-in it must never be picked,
   // not even by exploration.
   for (int i = 0; i < 64; ++i) eng.observe_write(WriteArm::write_back, 1.0,
@@ -100,7 +99,7 @@ TEST(PolicyEngine, WriteBackArmRequiresOptIn) {
   }
 
   cfg.allow_write_back = true;
-  PolicyEngine eng2(cfg, nullptr);
+  PolicyEngine eng2(cfg);
   for (int i = 0; i < 64; ++i) {
     eng2.observe_write(WriteArm::write_back, 1.0, /*fell_back=*/false);
     eng2.observe_flush(1.0);
@@ -114,7 +113,7 @@ TEST(PolicyEngine, WriteBackArmRequiresOptIn) {
 
 TEST(PolicyEngine, PutDegradationShiftsWritePreferenceToRpc) {
   PolicyConfig cfg = enabled_config();
-  PolicyEngine eng(cfg, nullptr);
+  PolicyEngine eng(cfg);
   ASSERT_EQ(eng.write_pref(), WriteArm::put);
   // Every put degrades to RPC (no usable reference): modeled put cost is
   // put + fallback-rate * rpc, which overtakes plain RPC.
@@ -126,23 +125,10 @@ TEST(PolicyEngine, PutDegradationShiftsWritePreferenceToRpc) {
   EXPECT_EQ(eng.write_pref(), WriteArm::rpc);
 }
 
-TEST(PolicyEngine, ServerCpuKneeScalesRpcCost) {
-  obs::OpSignals sig;
-  PolicyConfig cfg = enabled_config();
-  cfg.server_cpu_knee = 0.85;
-  cfg.server_cpu_weight = 2.0;
-  PolicyEngine eng(cfg, &sig);
-  const double idle = eng.read_cost(ReadMech::rpc);
-  sig.server_cpu.update(1.0);  // saturated server
-  const double loaded = eng.read_cost(ReadMech::rpc);
-  EXPECT_GT(loaded, idle * 1.2);
-  EXPECT_DOUBLE_EQ(loaded, idle * (1.0 + 2.0 * (1.0 - 0.85)));
-}
-
 TEST(PolicyEngine, IdenticalHistoryGivesIdenticalDecisions) {
   PolicyConfig cfg = enabled_config();
   cfg.explore_every = 8;
-  PolicyEngine a(cfg, nullptr), b(cfg, nullptr);
+  PolicyEngine a(cfg), b(cfg);
   // Interleave decisions and observations; both engines see the same
   // history and must produce the same choice sequence (determinism is what
   // keeps golden hashes stable at any worker count).

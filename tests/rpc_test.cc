@@ -219,5 +219,55 @@ TEST_F(RpcTest, BulkWithoutPrepostArrivesInline) {
   EXPECT_EQ(got, payload);
 }
 
+// A sealed call datagram with no args (the wire format of rpc/rpc.h), for
+// feeding the server duplicates of one call.
+net::Buffer call_msg(std::uint32_t xid, std::uint32_t proc) {
+  XdrEncoder head;
+  head.u32(xid);
+  head.u32(kRpcCall);
+  head.u32(proc);
+  head.u32(0);  // trace
+  const std::vector<std::byte> bytes = head.take();
+  XdrEncoder enc;
+  enc.raw(bytes);
+  enc.u32(checksum32(bytes));
+  return enc.finish();
+}
+
+// The xid cache behind the server: duplicate datagrams of one call run the
+// handler once.
+TEST_F(RpcTest, DuplicatesDropWhileExecutingAndReplayOnceDone) {
+  RpcServer server(hs_, sts_, 2049);
+  int runs = 0;
+  server.register_handler(1, [&](const RpcCallCtx&)
+                                 -> sim::Task<RpcServerReply> {
+    ++runs;
+    co_await hs_.engine().delay(msec(1));
+    RpcServerReply r;
+    r.results.u32(7);
+    co_return r;
+  });
+  auto& sock = stc_.bind(900);
+  int replies = 0;
+  eng_.spawn([](msg::UdpStack::Socket& sock, int& replies) -> sim::Task<void> {
+    for (;;) {
+      co_await sock.recv();
+      ++replies;
+    }
+  }(sock, replies));
+  eng_.spawn([](sim::Engine& eng, msg::UdpStack::Socket& sock,
+                net::NodeId server) -> sim::Task<void> {
+    co_await sock.send_to(server, 2049, call_msg(5, 1));
+    co_await sock.send_to(server, 2049, call_msg(5, 1));  // still executing
+    co_await eng.delay(msec(5));
+    co_await sock.send_to(server, 2049, call_msg(5, 1));  // completed
+  }(eng_, sock, ns_.node_id()));
+  eng_.run_for(msec(20));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(server.dup_drops(), 1u);
+  EXPECT_EQ(server.dup_replays(), 1u);
+  EXPECT_EQ(replies, 2);
+}
+
 }  // namespace
 }  // namespace ordma::rpc
