@@ -125,8 +125,7 @@ CellOut run_cell(const Arm& arm, const CellCfg& g) {
                            std::string(arm.name) + "." + g.label);
   if (ts_run.active()) {
     c.export_metrics(ts_run.registry());
-    c.export_file_client_metrics(ts_run.registry(), 0, *client);
-    c.export_odafs_client_metrics(ts_run.registry(), 0, *client);
+    c.export_client(ts_run.registry(), *client);
   }
 
   CellOut out;

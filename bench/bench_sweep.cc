@@ -104,7 +104,7 @@ CellResult run_cell(bench::System sys, Bytes block) {
                                "." + std::to_string(block / 1024) + "KB");
   if (ts_run.active()) {
     c.export_metrics(ts_run.registry());
-    c.export_file_client_metrics(ts_run.registry(), 0, *client);
+    c.export_client(ts_run.registry(), *client);
   }
 
   double tput = 0, cpu = 0;

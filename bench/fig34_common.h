@@ -89,7 +89,7 @@ inline Fig3Cell run_fig3_cell(System sys, Bytes block) {
                                std::to_string(block / 1024) + "KB");
   if (ts_run.active()) {
     c.export_metrics(ts_run.registry());
-    c.export_file_client_metrics(ts_run.registry(), 0, *client);
+    c.export_client(ts_run.registry(), *client);
   }
 
   Fig3Cell cell;

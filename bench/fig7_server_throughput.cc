@@ -64,8 +64,7 @@ Cell run_cell(const std::string& label, bool use_ordma, Bytes cache_block,
   if (ts_run.active()) {
     c.export_metrics(ts_run.registry());
     for (unsigned i = 0; i < 2; ++i) {
-      c.export_file_client_metrics(ts_run.registry(), i, *clients[i]);
-      c.export_odafs_client_metrics(ts_run.registry(), i, *clients[i]);
+      c.export_client(ts_run.registry(), *clients[i]);
     }
   }
 

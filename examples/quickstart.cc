@@ -103,8 +103,7 @@ int main(int argc, char** argv) {
     obs::ts::RunScope ts_run(cluster.engine(), "quickstart");
     if (ts_run.active()) {
       cluster.export_metrics(ts_run.registry());
-      cluster.export_file_client_metrics(ts_run.registry(), 0, *client);
-      cluster.export_odafs_client_metrics(ts_run.registry(), 0, *client);
+      cluster.export_client(ts_run.registry(), *client);
     }
     cluster.engine().spawn(run(cluster, *client, done));
     cluster.engine().run();

@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
     if (ts_run.active()) {
       cluster.export_metrics(ts_run.registry());
       for (unsigned i = 0; i < cfg.num_clients; ++i) {
-        cluster.export_file_client_metrics(ts_run.registry(), i, *clients[i]);
-        cluster.export_odafs_client_metrics(ts_run.registry(), i, *clients[i]);
+        cluster.export_client(ts_run.registry(), *clients[i]);
       }
     }
     cluster.engine().spawn(run(cluster, clients, done));

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cache/policy.h"
+#include "common/stats.h"
 #include "common/units.h"
 #include "crypto/capability.h"
 #include "host/host.h"
@@ -172,6 +173,7 @@ class ClientCache {
   std::uint64_t data_hits() const { return data_hits_; }
   std::uint64_t data_misses() const { return data_misses_; }
   std::size_t headers() const { return map_.size(); }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   void evict_header();
@@ -186,8 +188,9 @@ class ClientCache {
   std::vector<int> free_slots_;
   std::size_t refs_held_ = 0;
   std::size_t dirty_blocks_ = 0;
-  std::uint64_t data_hits_ = 0;
-  std::uint64_t data_misses_ = 0;
+  CounterGroup counters_;
+  Counter data_hits_{counters_, "cache/data_hits"};
+  Counter data_misses_{counters_, "cache/data_misses"};
 };
 
 class DelegationTable {

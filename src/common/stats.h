@@ -182,15 +182,68 @@ inline double histogram_quantile_from_counts(const std::uint64_t* counts,
   return LatencyHistogram::upper_edge_us(n_buckets - 1);  // unreachable
 }
 
-// Simple event counters keyed by name (benchmark bookkeeping).
+class CounterGroup;
+
+// An event count, declared once as a member of its owner together with its
+// export path: `Counter rpc_reads_{counters_, "odafs/rpc_reads"};` links it
+// into the owner's group, which obs::MetricsRegistry::export_counters()
+// exports whole; an increment stays a plain add. A copy carries the value
+// only (an unlinked snapshot; assigning into a counter keeps its link).
 class Counter {
  public:
+  Counter() = default;  // unlinked: exported by no walk
+  Counter(CounterGroup& group, const char* path);  // `path`: a literal
+  Counter(const Counter& o) : v_(o.v_) {}
+  Counter& operator=(const Counter& o) { v_ = o.v_; return *this; }
+  Counter& operator+=(std::uint64_t by) { v_ += by; return *this; }
+  Counter& operator++() { return *this += 1; }
   void inc(std::uint64_t by = 1) { v_ += by; }
+  operator std::uint64_t() const { return v_; }
   std::uint64_t get() const { return v_; }
-  void reset() { v_ = 0; }
+  const char* path() const { return path_; }
 
  private:
+  friend class CounterGroup;
   std::uint64_t v_ = 0;
+  const char* path_ = nullptr;
+  const Counter* next_ = nullptr;  // in the same group
 };
+
+// One component's counters, plus the groups of the helpers it is built
+// from (adopt()). Like a Counter, a copy starts unlinked.
+class CounterGroup {
+ public:
+  CounterGroup() = default;
+  CounterGroup(const CounterGroup&) {}
+  CounterGroup& operator=(const CounterGroup&) { return *this; }
+
+  // Walk `child` (a member of the owner; it joins one group) with this one.
+  void adopt(const CounterGroup& child) {
+    ORDMA_CHECK(!child.adopted_);
+    child.adopted_ = true;
+    child.next_sibling_ = first_child_;
+    first_child_ = &child;
+  }
+
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Counter* c = head_; c; c = c->next_) f(*c);
+    for (const CounterGroup* g = first_child_; g; g = g->next_sibling_) {
+      g->for_each(f);
+    }
+  }
+
+ private:
+  friend class Counter;
+  const Counter* head_ = nullptr;
+  const CounterGroup* first_child_ = nullptr;
+  mutable const CounterGroup* next_sibling_ = nullptr;  // set by adopt()
+  mutable bool adopted_ = false;
+};
+
+inline Counter::Counter(CounterGroup& group, const char* path)
+    : path_(path), next_(group.head_) {
+  group.head_ = this;
+}
 
 }  // namespace ordma

@@ -134,238 +134,39 @@ class Cluster {
                                                      server_node(), cfg);
   }
 
-  // Register pull-gauges for every component's counters under
-  // "<host>/<component>/<stat>" paths. Sampled when the registry writes its
-  // snapshot (or when a timeseries sampler closes a window), so this costs
-  // nothing during the run itself. Monotone totals are registered as
-  // *cumulative* gauges so obs/timeseries.h differences them into
-  // per-window rates; instantaneous levels (queue depths) stay point
-  // samples.
+  // Every series of the cluster's own components, under "<host>/" (the
+  // fault plan and the fabric are cluster-wide). Event counts export
+  // themselves: one walk per component registers the counters it declared
+  // (common/stats.h) as cumulative gauges, read only at snapshots.
   void export_metrics(obs::MetricsRegistry& reg) {
-    constexpr bool kCumulative = true;
-    auto host_gauges = [&reg](host::Host& h, nic::Nic& n) {
-      const std::string p = h.name();
-      reg.gauge(p + "/cpu/busy_us",
-                [&h] { return h.cpu().busy_time().ns / 1e3; }, kCumulative);
-      reg.gauge(p + "/nic/fw_busy_us",
-                [&n] { return n.fw_busy().ns / 1e3; }, kCumulative);
-      reg.gauge(p + "/nic/ordma_served",
-                [&n] { return static_cast<double>(n.ordma_served()); },
-                kCumulative);
-      reg.gauge(p + "/nic/ordma_faults",
-                [&n] { return static_cast<double>(n.ordma_faults()); },
-                kCumulative);
-      reg.gauge(p + "/nic/ordma_timeouts",
-                [&n] { return static_cast<double>(n.ordma_timeouts()); },
-                kCumulative);
-      reg.gauge(p + "/nic/rx_queue",
-                [&n] { return static_cast<double>(n.rx_backlog()); });
-    };
-    host_gauges(*server_host_, *server_nic_);
-    for (std::size_t i = 0; i < client_hosts_.size(); ++i) {
-      host_gauges(*client_hosts_[i], *client_nics_[i]);
+    const std::string s = "server/";
+    reg.export_counters(s, server_nic_->counters());
+    for (unsigned i = 0; i < num_clients(); ++i) {
+      reg.export_counters(client(i).name() + "/", client_nic(i).counters());
     }
-    fs::ServerFs& sfs = *server_fs_;
-    reg.gauge("server/cache/hits", [&sfs] {
-      return static_cast<double>(sfs.cache().hits());
-    }, kCumulative);
-    reg.gauge("server/cache/misses", [&sfs] {
-      return static_cast<double>(sfs.cache().misses());
-    }, kCumulative);
-    reg.gauge("server/disk/reads", [&sfs] {
-      return static_cast<double>(sfs.disk().reads());
-    }, kCumulative);
-    reg.gauge("server/disk/writes", [&sfs] {
-      return static_cast<double>(sfs.disk().writes());
-    }, kCumulative);
+    reg.export_counters(s, server_fs_->cache().counters());
+    reg.export_counters(s, server_fs_->disk().counters());
     if (nfs_server_) {
-      nas::nfs::NfsServer& srv = *nfs_server_;
-      reg.gauge("server/rpc/dup_replays", [&srv] {
-        return static_cast<double>(srv.rpc_server().dup_replays());
-      }, kCumulative);
-      reg.gauge("server/rpc/dup_drops", [&srv] {
-        return static_cast<double>(srv.rpc_server().dup_drops());
-      }, kCumulative);
-      reg.gauge("server/rpc/cksum_drops", [&srv] {
-        return static_cast<double>(srv.rpc_server().cksum_drops());
-      }, kCumulative);
+      reg.export_counters(s, nfs_server_->rpc_server().counters());
     }
-    if (dafs_server_) {
-      nas::dafs::DafsServer& srv = *dafs_server_;
-      reg.gauge("server/dafs/put_commits", [&srv] {
-        return static_cast<double>(srv.put_commits());
-      }, kCumulative);
-      reg.gauge("server/dafs/put_rejects", [&srv] {
-        return static_cast<double>(srv.put_rejects());
-      }, kCumulative);
-      reg.gauge("server/dafs/invalidations_sent", [&srv] {
-        return static_cast<double>(srv.invalidations_sent());
-      }, kCumulative);
-      reg.gauge("server/dafs/invalidation_giveups", [&srv] {
-        return static_cast<double>(srv.invalidation_giveups());
-      }, kCumulative);
-      reg.gauge("server/dafs/wb_syncs", [&srv] {
-        return static_cast<double>(srv.wb_syncs());
-      }, kCumulative);
-      nic::Nic& snic = *server_nic_;
-      reg.gauge("server/nic/puts_served", [&snic] {
-        return static_cast<double>(snic.puts_served());
-      }, kCumulative);
-      reg.gauge("server/nic/put_dups_dropped", [&snic] {
-        return static_cast<double>(snic.put_dups_dropped());
-      }, kCumulative);
-    }
-    if (injector_) {
-      fault::FaultInjector& inj = *injector_;
-      reg.gauge("fault/frames_dropped", [&inj] {
-        return static_cast<double>(inj.frames_dropped());
-      }, kCumulative);
-      reg.gauge("fault/frames_corrupted", [&inj] {
-        return static_cast<double>(inj.frames_corrupted() +
-                                   inj.frames_corrupt_dropped());
-      }, kCumulative);
-      reg.gauge("fault/frames_duplicated", [&inj] {
-        return static_cast<double>(inj.frames_duplicated());
-      }, kCumulative);
-      reg.gauge("fault/frames_delayed", [&inj] {
-        return static_cast<double>(inj.frames_delayed());
-      }, kCumulative);
-      reg.gauge("fault/doorbell_stalls", [&inj] {
-        return static_cast<double>(inj.doorbell_stalls());
-      }, kCumulative);
-      reg.gauge("fault/cap_revokes", [&inj] {
-        return static_cast<double>(inj.cap_revokes());
-      }, kCumulative);
-      reg.gauge("fault/tlb_invalidates", [&inj] {
-        return static_cast<double>(inj.tlb_invalidates());
-      }, kCumulative);
-      reg.gauge("fault/disk_errors", [&inj] {
-        return static_cast<double>(inj.disk_errors());
-      }, kCumulative);
-      reg.gauge("fault/put_revokes", [&inj] {
-        return static_cast<double>(inj.put_revokes());
-      }, kCumulative);
-    }
-    net::Fabric& fab = fabric_;
-    for (net::NodeId id = 0; id < fab.num_nodes(); ++id) {
+    if (dafs_server_) reg.export_counters(s, dafs_server_->counters());
+    if (injector_) reg.export_counters("", injector_->counters());
+    for (net::NodeId id = 0; id < fabric_.num_nodes(); ++id) {
       const std::string p = "net/" + std::to_string(id);
-      reg.gauge(p + "/up_bytes", [&fab, id] {
-        return static_cast<double>(fab.uplink(id).bytes_delivered());
-      }, kCumulative);
-      reg.gauge(p + "/down_bytes", [&fab, id] {
-        return static_cast<double>(fab.downlink(id).bytes_delivered());
-      }, kCumulative);
-      reg.gauge(p + "/up_backlog", [&fab, id] {
-        return static_cast<double>(fab.uplink(id).backlog());
-      });
-      reg.gauge(p + "/down_backlog", [&fab, id] {
-        return static_cast<double>(fab.downlink(id).backlog());
-      });
+      reg.export_counters(p + "/up_", fabric_.uplink(id).counters());
+      reg.export_counters(p + "/down_", fabric_.downlink(id).counters());
     }
+    export_non_counts(reg);
   }
 
-  // Uniform per-client op accounting: op/error/retry rates plus the op
-  // latency histogram, under "<client>/io/...". Works for every protocol
-  // client (core::FileClient::OpStats); these are the series the health
-  // engine's stock SLOs (obs/health.h) suffix-match on.
-  void export_file_client_metrics(obs::MetricsRegistry& reg, unsigned i,
-                                  const core::FileClient& cl) {
-    constexpr bool kCumulative = true;
-    const std::string p = client_hosts_.at(i)->name();
-    const core::FileClient::OpStats& st = cl.op_stats();
-    reg.gauge(p + "/io/ops",
-              [&st] { return static_cast<double>(st.ops); }, kCumulative);
-    reg.gauge(p + "/io/errors",
-              [&st] { return static_cast<double>(st.errors); }, kCumulative);
-    reg.gauge(p + "/io/retries",
-              [&st] { return static_cast<double>(st.retries); }, kCumulative);
-    reg.histogram_view(p + "/io/latency_us", &st.latency_us);
-    // Signal plane (obs/signals.h): the EWMA estimators the adaptive policy
-    // (policy/policy.h) reads. Exported for every protocol so benches can
-    // trace comparable signal blocks across arms; ORDMA-only series stay at
-    // their unprimed zero for protocols without an ORDMA path. Point
-    // samples, not deltas.
-    const obs::OpSignals& sig = cl.signals();
-    reg.gauge(p + "/signals/ref_hit_rate",
-              [&sig] { return sig.ref_hit_rate.value(); });
-    reg.gauge(p + "/signals/op_bytes",
-              [&sig] { return sig.op_bytes.value(); });
-    reg.gauge(p + "/signals/exception_rate",
-              [&sig] { return sig.exception_rate.value(); });
-  }
-
-  // Per-ODAFS-client series. The client objects are built by the caller
-  // (they live outside the cluster), so they are exported separately; the
-  // reference-directory hit behaviour these expose — data hits vs RPC
-  // fallbacks — is the signal the ROADMAP item 4 policy engine keys on.
-  void export_odafs_client_metrics(obs::MetricsRegistry& reg, unsigned i,
-                                   nas::odafs::OdafsClient& cl) {
-    constexpr bool kCumulative = true;
-    const std::string p = client_hosts_.at(i)->name();
-    reg.gauge(p + "/odafs/rpc_reads",
-              [&cl] { return static_cast<double>(cl.rpc_reads()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/ordma_reads",
-              [&cl] { return static_cast<double>(cl.ordma_reads()); },
-              kCumulative);
-    reg.gauge(p + "/cache/data_hits", [&cl] {
-      return static_cast<double>(cl.block_cache().data_hits());
-    }, kCumulative);
-    reg.gauge(p + "/cache/data_misses", [&cl] {
-      return static_cast<double>(cl.block_cache().data_misses());
-    }, kCumulative);
-    reg.gauge(p + "/cache/refs_held", [&cl] {
-      return static_cast<double>(cl.block_cache().refs_held());
-    });
-    // Write path / coherence traffic.
-    reg.gauge(p + "/odafs/puts_issued",
-              [&cl] { return static_cast<double>(cl.puts_issued()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/put_commits",
-              [&cl] { return static_cast<double>(cl.put_commits()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/put_fallbacks",
-              [&cl] { return static_cast<double>(cl.put_fallbacks()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/invalidates_rx",
-              [&cl] { return static_cast<double>(cl.invalidates_rx()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/inval_drops",
-              [&cl] { return static_cast<double>(cl.inval_drops()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/wb_flushes",
-              [&cl] { return static_cast<double>(cl.wb_flushes()); },
-              kCumulative);
-    // Adaptive policy engine (policy/policy.h): decision/flip/exploration
-    // counters as cumulative series, plus the current read preference as a
-    // point gauge (1.0 = ORDMA, 0.0 = RPC) so a timeseries trace shows the
-    // mid-run mechanism flip as a step edge.
-    const policy::PolicyEngine& pol = cl.protocol_policy();
-    const policy::PolicyEngine::Counters& pn = pol.counters();
-    reg.gauge(p + "/policy/read_decisions",
-              [&pn] { return static_cast<double>(pn.read_decisions); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_flips",
-              [&pn] { return static_cast<double>(pn.read_flips); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_explored",
-              [&pn] { return static_cast<double>(pn.read_explored); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_vetoes",
-              [&pn] { return static_cast<double>(pn.read_vetoes); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_decisions",
-              [&pn] { return static_cast<double>(pn.write_decisions); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_flips",
-              [&pn] { return static_cast<double>(pn.write_flips); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_explored",
-              [&pn] { return static_cast<double>(pn.write_explored); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_pref", [&pol] {
-      return pol.read_pref() == policy::ReadMech::ordma ? 1.0 : 0.0;
-    });
+  // One protocol client's series under "<its host>/": op accounting, and
+  // the counters of the protocol and of the helpers it adopted (an ODAFS
+  // client's DAFS session, block cache and policy engine).
+  void export_client(obs::MetricsRegistry& reg, core::FileClient& cl) {
+    const std::string p = cl.host().name() + "/";
+    reg.export_counters(p, cl.op_stats().counters);
+    reg.export_counters(p, cl.counters());
+    export_non_counts(reg, p, cl);
   }
 
   // --- experiment helpers ---------------------------------------------------
@@ -395,6 +196,58 @@ class Cluster {
   }
 
  private:
+  // --- series that are not one event count --------------------------------
+  // Busy time, levels (point samples), the op latency histogram and the
+  // corrupted-frame sum. Everything else is a Counter and exports itself.
+  void export_non_counts(obs::MetricsRegistry& reg) {
+    constexpr bool kCumulative = true;
+    for (unsigned i = 0; i <= num_clients(); ++i) {
+      host::Host& h = i == 0 ? server() : client(i - 1);
+      nic::Nic& n = i == 0 ? server_nic() : client_nic(i - 1);
+      const std::string p = h.name();
+      reg.gauge(p + "/cpu/busy_us",
+                [&h] { return h.cpu().busy_time().ns / 1e3; }, kCumulative);
+      reg.gauge(p + "/nic/fw_busy_us",
+                [&n] { return n.fw_busy().ns / 1e3; }, kCumulative);
+      reg.gauge(p + "/nic/rx_queue",
+                [&n] { return static_cast<double>(n.rx_backlog()); });
+    }
+    if (fault::FaultInjector* inj = injector_.get()) {
+      reg.gauge("fault/frames_corrupted", [inj] {
+        return static_cast<double>(inj->frames_corrupted() +
+                                   inj->frames_corrupt_dropped());
+      }, kCumulative);
+    }
+    for (net::NodeId id = 0; id < fabric_.num_nodes(); ++id) {
+      const std::string p = "net/" + std::to_string(id);
+      const net::Link& up = fabric_.uplink(id);
+      const net::Link& down = fabric_.downlink(id);
+      reg.gauge(p + "/up_backlog",
+                [&up] { return static_cast<double>(up.backlog()); });
+      reg.gauge(p + "/down_backlog",
+                [&down] { return static_cast<double>(down.backlog()); });
+    }
+  }
+  void export_non_counts(obs::MetricsRegistry& reg, const std::string& p,
+                         core::FileClient& cl) {
+    reg.histogram_view(p + "io/latency_us", &cl.op_stats().latency_us);
+    const obs::OpSignals& sig = cl.signals();
+    reg.gauge(p + "signals/ref_hit_rate",
+              [&sig] { return sig.ref_hit_rate.value(); });
+    reg.gauge(p + "signals/op_bytes", [&sig] { return sig.op_bytes.value(); });
+    reg.gauge(p + "signals/exception_rate",
+              [&sig] { return sig.exception_rate.value(); });
+    auto* odafs = dynamic_cast<nas::odafs::OdafsClient*>(&cl);
+    if (odafs == nullptr) return;
+    const cache::ClientCache& cache = odafs->block_cache();
+    reg.gauge(p + "cache/refs_held",
+              [&cache] { return static_cast<double>(cache.refs_held()); });
+    const policy::PolicyEngine& pol = odafs->protocol_policy();
+    reg.gauge(p + "policy/read_pref", [&pol] {
+      return pol.read_pref() == policy::ReadMech::ordma ? 1.0 : 0.0;
+    });
+  }
+
   static net::FabricConfig fabric_config(const ClusterConfig&,
                                          fault::FaultInjector* inj) {
     net::FabricConfig c;

@@ -12,6 +12,7 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "fs/server_fs.h"
+#include "host/host.h"
 #include "mem/physical_memory.h"
 #include "obs/sampler.h"
 #include "obs/signals.h"
@@ -26,18 +27,25 @@ struct OpenResult {
 
 class FileClient {
  public:
+  explicit FileClient(host::Host& host) : host_(host) {}
   virtual ~FileClient() = default;
 
+  host::Host& host() const { return host_; }
+
   // Uniform per-client op accounting, fed by each protocol's op wrappers
-  // via record_op(). The cluster exports these as "<client>/io/..." —
-  // the series the health engine's stock SLOs (obs/health.h) watch.
+  // via record_op() — the "io/" series the health engine's stock SLOs
+  // (obs/health.h) watch. Its own group: ODAFS adopts the counters() of
+  // the DAFS client inside it, but not that client's op accounting.
   struct OpStats {
-    std::uint64_t ops = 0;      // completed file ops (any outcome)
-    std::uint64_t errors = 0;   // ops that returned a failure Status
-    std::uint64_t retries = 0;  // protocol-level retries within ops
+    CounterGroup counters;
+    Counter ops{counters, "io/ops"};          // completed, any outcome
+    Counter errors{counters, "io/errors"};    // returned a failure Status
+    Counter retries{counters, "io/retries"};  // protocol retries within ops
     LatencyHistogram latency_us;
   };
   const OpStats& op_stats() const { return stats_; }
+  // The protocol's counters, and those of the helpers it adopted.
+  const CounterGroup& counters() const { return counters_; }
 
   // --- Signal plane (obs/signals.h) ----------------------------------------
   // Always-on EWMA estimators of the mechanism-selection signals (ref hit
@@ -88,7 +96,9 @@ class FileClient {
     signals_.op_bytes.update(static_cast<double>(op_len));
   }
 
+  host::Host& host_;
   OpStats stats_;
+  CounterGroup counters_;
   obs::OpSignals signals_;
 };
 

@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/units.h"
 #include "net/packet.h"
 #include "obs/flight.h"
@@ -119,6 +120,7 @@ class FaultInjector {
   Duration disk_latency_spike();  // zero = no outlier
 
   // Counters (exported as fault/* metrics).
+  const CounterGroup& counters() const { return counters_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t frames_corrupt_dropped() const {
     return frames_corrupt_dropped_;
@@ -145,17 +147,18 @@ class FaultInjector {
   Rng nic_rng_;
   Rng disk_rng_;
 
-  std::uint64_t frames_dropped_ = 0;
-  std::uint64_t frames_corrupt_dropped_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
-  std::uint64_t frames_duplicated_ = 0;
-  std::uint64_t frames_delayed_ = 0;
-  std::uint64_t doorbell_stalls_ = 0;
-  std::uint64_t cap_revokes_ = 0;
-  std::uint64_t put_revokes_ = 0;
-  std::uint64_t tlb_invalidates_ = 0;
-  std::uint64_t disk_errors_ = 0;
-  std::uint64_t disk_spikes_ = 0;
+  CounterGroup counters_;  // cluster-wide: exported with no host prefix
+  Counter frames_dropped_{counters_, "fault/frames_dropped"};
+  Counter frames_corrupt_dropped_{counters_, "fault/frames_corrupt_dropped"};
+  Counter frames_corrupted_{counters_, "fault/frames_corrupt_escaped"};
+  Counter frames_duplicated_{counters_, "fault/frames_duplicated"};
+  Counter frames_delayed_{counters_, "fault/frames_delayed"};
+  Counter doorbell_stalls_{counters_, "fault/doorbell_stalls"};
+  Counter cap_revokes_{counters_, "fault/cap_revokes"};
+  Counter put_revokes_{counters_, "fault/put_revokes"};
+  Counter tlb_invalidates_{counters_, "fault/tlb_invalidates"};
+  Counter disk_errors_{counters_, "fault/disk_errors"};
+  Counter disk_spikes_{counters_, "fault/disk_spikes"};
 };
 
 }  // namespace ordma::fault

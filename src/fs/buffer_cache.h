@@ -96,6 +96,7 @@ class BufferCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::size_t resident() const { return map_.size(); }
+  const CounterGroup& counters() const { return counters_; }
 
   mem::AddressSpace& space() { return host_.kernel_as(); }
 
@@ -111,8 +112,9 @@ class BufferCache {
   IntrusiveList<CacheBlock> lru_;            // valid blocks, front = LRU
   std::unordered_map<CacheKey, CacheBlock*, CacheKeyHash> map_;
   EvictHook evict_hook_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  CounterGroup counters_;
+  Counter hits_{counters_, "cache/hits"};
+  Counter misses_{counters_, "cache/misses"};
 };
 
 }  // namespace ordma::fs

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/stats.h"
 #include "common/units.h"
 #include "fault/fault.h"
 #include "host/host.h"
@@ -53,6 +54,7 @@ class Disk {
   // deterministic plan (not owned; must outlive the disk).
   void set_fault_injector(fault::FaultInjector* f) { faults_ = f; }
   std::uint64_t transient_errors() const { return transient_errors_; }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   sim::Task<void> access(BlockNo b, obs::OpId trace_op);
@@ -64,10 +66,11 @@ class Disk {
   BlockNo next_sequential_ = ~BlockNo{0};
   std::unordered_map<BlockNo, std::vector<std::byte>> blocks_;
   fault::FaultInjector* faults_ = nullptr;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
   std::uint64_t inject_failures_ = 0;
-  std::uint64_t transient_errors_ = 0;
+  CounterGroup counters_;
+  Counter reads_{counters_, "disk/reads"};
+  Counter writes_{counters_, "disk/writes"};
+  Counter transient_errors_{counters_, "disk/transient_errors"};
 };
 
 }  // namespace ordma::fs

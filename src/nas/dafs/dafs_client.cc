@@ -9,12 +9,14 @@ namespace ordma::nas::dafs {
 
 DafsClient::DafsClient(host::Host& host, net::NodeId server,
                        DafsClientConfig cfg)
-    : host_(host),
+    : FileClient(host),
       server_(server),
       cfg_(cfg),
       trk_app_(host.name(), "app"),
       waiters_(host.engine()),
-      retry_(host, cfg.retry, "dafs.rpc") {}
+      retry_(host, cfg.retry, "dafs.rpc") {
+  counters_.adopt(retry_.counters());
+}
 
 sim::Task<Status> DafsClient::ensure_connected() {
   if (conn_) co_return Status::Ok();

@@ -159,7 +159,6 @@ class DafsClient : public core::FileClient {
   const char* protocol_name() const override { return "DAFS"; }
 
   net::NodeId server_node() const { return server_; }
-  host::Host& host() { return host_; }
   std::uint64_t rpcs_issued() const { return next_req_id_ - 1; }
   // --- reliability counters ------------------------------------------------
   std::uint64_t retransmits() const { return retry_.retransmits(); }
@@ -194,7 +193,6 @@ class DafsClient : public core::FileClient {
   static void decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
                           DafsReadResult& out);
 
-  host::Host& host_;
   net::NodeId server_;
   DafsClientConfig cfg_;
   obs::Track trk_app_;  // root spans for this client's file ops
@@ -203,8 +201,9 @@ class DafsClient : public core::FileClient {
   std::unique_ptr<msg::ViConnection> conn_;
   std::uint32_t next_req_id_ = 1;
 
-  std::uint64_t integrity_retries_ = 0;
-  std::uint64_t invalidates_rx_ = 0;
+  Counter integrity_retries_{counters_, "dafs/integrity_retries"};
+  // Server invalidations serve ODAFS caches, hence the series name.
+  Counter invalidates_rx_{counters_, "odafs/invalidates_rx"};
   InvalidateHandler on_invalidate_;
 
   std::deque<Registered> regs_;

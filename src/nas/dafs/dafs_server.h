@@ -69,6 +69,7 @@ class DafsServer {
   std::uint64_t invalidations_sent() const { return invals_sent_; }
   std::uint64_t invalidation_giveups() const { return inval_giveups_; }
   std::uint64_t wb_syncs() const { return wb_syncs_; }
+  const CounterGroup& counters() const { return counters_; }
 
   // Observer fired at each write's commit point (after invalidations have
   // been acknowledged, before the reply is sent): both optimistic put
@@ -146,8 +147,8 @@ class DafsServer {
   // Ensure a cache block is exported; append (fbn, ref[, version]) to
   // `out`. `version` is the block's commit version captured by the caller
   // (coherence mode; ignored otherwise).
-  void piggyback(rpc::XdrEncoder& out, fs::Ino ino, std::uint64_t fbn,
-                 fs::CacheBlock& blk, std::uint64_t version);
+  void piggyback(rpc::XdrEncoder& out, std::uint64_t fbn, fs::CacheBlock& blk,
+                 std::uint64_t version);
   // Export the file system's attribute region (once) and encode a remote
   // reference to `ino`'s record (the ODAFS attribute extension).
   void encode_attr_ref(rpc::XdrEncoder& out, fs::Ino ino);
@@ -156,8 +157,9 @@ class DafsServer {
   fs::ServerFs& fs_;
   DafsServerConfig cfg_;
   msg::ViListener listener_;
-  std::uint64_t served_ = 0;
-  std::uint64_t exported_ = 0;
+  CounterGroup counters_;
+  Counter served_{counters_, "dafs/requests_served"};
+  Counter exported_{counters_, "dafs/blocks_exported"};
   std::optional<crypto::Capability> attr_region_cap_;
 
   std::uint64_t next_conn_id_ = 1;
@@ -165,11 +167,11 @@ class DafsServer {
   std::unordered_map<fs::CacheKey, ShareEntry, fs::CacheKeyHash> share_;
   CommitObserver observer_;
 
-  std::uint64_t put_commits_ = 0;
-  std::uint64_t put_rejects_ = 0;
-  std::uint64_t invals_sent_ = 0;
-  std::uint64_t inval_giveups_ = 0;
-  std::uint64_t wb_syncs_ = 0;
+  Counter put_commits_{counters_, "dafs/put_commits"};
+  Counter put_rejects_{counters_, "dafs/put_rejects"};
+  Counter invals_sent_{counters_, "dafs/invalidations_sent"};
+  Counter inval_giveups_{counters_, "dafs/invalidation_giveups"};
+  Counter wb_syncs_{counters_, "dafs/wb_syncs"};
 };
 
 }  // namespace ordma::nas::dafs

@@ -25,11 +25,13 @@ std::vector<std::string> components(const std::string& path) {
 NfsClientBase::NfsClientBase(host::Host& host, msg::UdpStack& stack,
                              net::NodeId server, std::uint16_t local_port,
                              Bytes transfer_size, rpc::RpcRetryPolicy retry)
-    : host_(host),
+    : FileClient(host),
       rpc_(host, stack, local_port, retry),
       server_(server),
       transfer_size_(transfer_size),
-      trk_app_(host.name(), "app") {}
+      trk_app_(host.name(), "app") {
+  counters_.adopt(rpc_.counters());
+}
 
 sim::Task<Result<fs::Attr>> NfsClientBase::resolve(const std::string& path) {
   fs::Attr cur;

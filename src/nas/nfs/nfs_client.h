@@ -58,7 +58,6 @@ class NfsClientBase : public core::FileClient {
   sim::Task<Result<std::pair<fs::Ino, std::string>>> resolve_parent(
       const std::string& path);
 
-  host::Host& host_;
   rpc::RpcClient rpc_;
   net::NodeId server_;
   Bytes transfer_size_;
@@ -125,8 +124,8 @@ class NfsHybridClient final : public NfsClientBase {
   sim::Task<Result<Registered*>> ensure_registered(mem::Vaddr va, Bytes len,
                                                    obs::OpId op);
   std::deque<Registered> regs_;
-  std::uint64_t registrations_ = 0;
-  std::uint64_t integrity_retries_ = 0;
+  Counter registrations_{counters_, "nfs/registrations"};
+  Counter integrity_retries_{counters_, "nfs/integrity_retries"};
 };
 
 }  // namespace ordma::nas::nfs

@@ -19,12 +19,15 @@ bool fetch_retryable(Errc e) {
 
 OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
                          OdafsClientConfig cfg)
-    : host_(host),
+    : FileClient(host),
       cfg_(cfg),
       dafs_(host, server, cfg.dafs),
       cache_(host, cfg.cache),
       trk_app_(host.name(), "app"),
       policy_(cfg.policy) {
+  counters_.adopt(dafs_.counters());
+  counters_.adopt(cache_.counters());
+  counters_.adopt(policy_.counters().group);
   dafs_.set_invalidate_handler(
       [this](std::uint64_t ino, std::uint64_t fbn, std::uint64_t version) {
         handle_invalidate(ino, fbn, version);

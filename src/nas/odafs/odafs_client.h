@@ -180,7 +180,6 @@ class OdafsClient : public core::FileClient {
     bool poisoned = false;
   };
 
-  host::Host& host_;
   OdafsClientConfig cfg_;
   dafs::DafsClient dafs_;
   cache::ClientCache cache_;
@@ -193,23 +192,23 @@ class OdafsClient : public core::FileClient {
   std::unordered_map<std::uint64_t, cache::RemoteRef> attr_refs_;
   Bytes server_block_ = 0;
 
-  std::uint64_t ordma_reads_ = 0;
-  std::uint64_t ordma_faults_ = 0;
-  std::uint64_t rpc_reads_ = 0;
-  std::uint64_t attr_ordma_ = 0;
-  std::uint64_t integrity_retries_ = 0;
-  std::uint64_t fetch_give_ups_ = 0;
+  Counter ordma_reads_{counters_, "odafs/ordma_reads"};
+  Counter ordma_faults_{counters_, "odafs/ordma_faults"};
+  Counter rpc_reads_{counters_, "odafs/rpc_reads"};
+  Counter attr_ordma_{counters_, "odafs/attr_ordma"};
+  Counter integrity_retries_{counters_, "odafs/integrity_retries"};
+  Counter fetch_give_ups_{counters_, "odafs/fetch_give_ups"};
 
   // FIFO of blocks dirtied by write_back (clean→dirty edges only; entries
   // whose block was flushed or invalidated meanwhile are skipped).
   std::deque<cache::BlockKey> wb_fifo_;
-  std::uint64_t puts_issued_ = 0;
-  std::uint64_t put_commits_ = 0;
-  std::uint64_t put_rejects_ = 0;
-  std::uint64_t put_fallbacks_ = 0;
-  std::uint64_t inval_drops_ = 0;
-  std::uint64_t inval_refetches_ = 0;
-  std::uint64_t wb_flushes_ = 0;
+  Counter puts_issued_{counters_, "odafs/puts_issued"};
+  Counter put_commits_{counters_, "odafs/put_commits"};
+  Counter put_rejects_{counters_, "odafs/put_rejects"};
+  Counter put_fallbacks_{counters_, "odafs/put_fallbacks"};
+  Counter inval_drops_{counters_, "odafs/inval_drops"};
+  Counter inval_refetches_{counters_, "odafs/inval_refetches"};
+  Counter wb_flushes_{counters_, "odafs/wb_flushes"};
 
   policy::PolicyEngine policy_;
 };

@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 
+#include "common/stats.h"
 #include "common/units.h"
 #include "fault/fault.h"
 #include "net/packet.h"
@@ -48,6 +49,8 @@ class Link {
   Bytes bytes_offered() const { return bytes_offered_; }
   Bytes bytes_delivered() const { return bytes_delivered_; }
   std::size_t backlog() const { return queue_.pending(); }
+  // Exported under "net/<node>/up_" or "net/<node>/down_".
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   sim::Task<void> pump() {
@@ -92,8 +95,9 @@ class Link {
   sim::Channel<Packet> queue_;
   DeliverFn sink_;
   fault::FaultInjector* faults_ = nullptr;
-  Bytes bytes_offered_ = 0;
-  Bytes bytes_delivered_ = 0;
+  CounterGroup counters_;
+  Counter bytes_offered_{counters_, "bytes_offered"};
+  Counter bytes_delivered_{counters_, "bytes"};
 };
 
 }  // namespace ordma::net

@@ -206,26 +206,32 @@ class BufferBuilder {
   BufferBuilder& operator=(BufferBuilder&&) noexcept = default;
 
   // Append storage. Only valid while the builder still owns its rep (i.e.
-  // before finish()/take()).
-  std::vector<std::byte>& bytes() { return b_.rep_->bytes; }
-  const std::vector<std::byte>& bytes() const { return b_.rep_->bytes; }
+  // before finish()/take()); a CHECK fails after.
+  std::vector<std::byte>& bytes() { return rep().bytes; }
+  const std::vector<std::byte>& bytes() const { return rep().bytes; }
 
   // Stamp the length and hand the buffer over; the builder is empty after.
   Buffer finish() {
-    b_.len_ = b_.rep_->bytes.size();
+    b_.len_ = rep().bytes.size();
     return std::move(b_);
   }
 
   // Move the raw bytes out (for callers that splice them into another
   // message); the rep returns to the pool without its capacity.
   std::vector<std::byte> take() {
-    std::vector<std::byte> out = std::move(b_.rep_->bytes);
+    std::vector<std::byte> out = std::move(rep().bytes);
     b_.rep_->bytes.clear();
     b_ = Buffer();
     return out;
   }
 
  private:
+  Buffer::Rep& rep() const {
+    ORDMA_CHECK_MSG(b_.rep_ != nullptr,
+                    "BufferBuilder used after finish() or take()");
+    return *b_.rep_;
+  }
+
   Buffer b_;
 };
 

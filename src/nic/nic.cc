@@ -39,6 +39,7 @@ Nic::Nic(host::Host& host, net::Fabric& fabric, NicConfig cfg,
   node_id_ = fabric_.add_node(host.name(),
                               [this](net::Packet p) { rx_queue_.send(std::move(p)); });
   host_.attach_nic(this);
+  counters_.adopt(tlb_.counters());
   eng_.spawn(rx_loop());
 }
 

@@ -192,6 +192,7 @@ class Nic {
   // loop — the instantaneous receive queue depth a time-series sampler
   // wants for incast analysis.
   std::size_t rx_backlog() const { return rx_queue_.pending(); }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   struct PendingOp {
@@ -326,11 +327,12 @@ class Nic {
   std::unordered_map<RxKey, bool, RxKeyHash> put_done_;
   std::deque<RxKey> put_done_order_;
 
-  std::uint64_t ordma_served_ = 0;
-  std::uint64_t ordma_faults_ = 0;
-  std::uint64_t ordma_timeouts_ = 0;
-  std::uint64_t puts_served_ = 0;
-  std::uint64_t put_dups_dropped_ = 0;
+  CounterGroup counters_;
+  Counter ordma_served_{counters_, "nic/ordma_served"};
+  Counter ordma_faults_{counters_, "nic/ordma_faults"};
+  Counter ordma_timeouts_{counters_, "nic/ordma_timeouts"};
+  Counter puts_served_{counters_, "nic/puts_served"};
+  Counter put_dups_dropped_{counters_, "nic/put_dups_dropped"};
 };
 
 }  // namespace ordma::nic

@@ -15,6 +15,7 @@
 
 #include "common/intrusive_list.h"
 #include "common/result.h"
+#include "common/stats.h"
 #include "crypto/capability.h"
 #include "mem/address_space.h"
 
@@ -87,13 +88,15 @@ class NicTlb {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void count_miss() { ++misses_; }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   std::size_t capacity_;
   std::unordered_map<mem::Vpn, Entry*> map_;
   IntrusiveList<Entry> lru_;  // front = LRU, back = MRU
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  CounterGroup counters_;
+  Counter hits_{counters_, "nic/tlb_hits"};
+  Counter misses_{counters_, "nic/tlb_misses"};
 };
 
 }  // namespace ordma::nic

@@ -25,16 +25,30 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& path) {
   return *e.h;
 }
 
+MetricsRegistry::Entry& MetricsRegistry::fresh_entry(const std::string& path) {
+  auto [it, fresh] = entries_.try_emplace(path);
+  ORDMA_CHECK_MSG(fresh, ("metric path registered twice: " + path).c_str());
+  return it->second;
+}
+
 void MetricsRegistry::histogram_view(const std::string& path,
                                      const LatencyHistogram* h) {
-  entries_[path].hv = h;
+  fresh_entry(path).hv = h;
 }
 
 void MetricsRegistry::gauge(const std::string& path,
                             std::function<double()> fn, bool cumulative) {
-  Entry& e = entries_[path];
+  Entry& e = fresh_entry(path);
   e.g = std::move(fn);
   e.g_cumulative = cumulative;
+}
+
+void MetricsRegistry::export_counters(const std::string& prefix,
+                                      const CounterGroup& group) {
+  group.for_each([&](const Counter& c) {
+    gauge(prefix + c.path(), [&c] { return static_cast<double>(c.get()); },
+          /*cumulative=*/true);
+  });
 }
 
 void MetricsRegistry::delta_snapshot(DeltaCursor& cursor,

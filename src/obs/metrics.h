@@ -4,9 +4,10 @@
 // '/'-separated paths ("server/nic/tpt_miss", "client0/cache/hits"); a
 // snapshot nests the paths into a JSON object tree. Entries are owned by
 // the registry and stable for its lifetime (node-based map), so components
-// can hold references. Gauges are sampled at snapshot time via a callback,
-// which lets existing component counters (cache hit counts, resource busy
-// time, ...) be exported without touching their owners' hot paths.
+// can hold references. Gauges are sampled at snapshot time via a callback;
+// export_counters() registers a component's whole CounterGroup
+// (common/stats.h), each counter at the path it was declared with. A path
+// is registered once: a second gauge or view there fails a CHECK.
 //
 // Like tracing (obs/trace.h), a registry is installed per thread and absent
 // by default; helpers no-op on a null registry.
@@ -46,13 +47,15 @@ class MetricsRegistry {
   // stats): snapshots read through the pointer, which must outlive the
   // registry. Same snapshot/delta semantics as an owned histogram.
   void histogram_view(const std::string& path, const LatencyHistogram* h);
-  // Register (or replace) a gauge sampled at snapshot time. A *cumulative*
-  // gauge exposes a monotonically nondecreasing total (resource busy time,
-  // hit counts exported from component-owned counters); delta consumers
-  // treat it like a counter, where a plain gauge (queue depth, occupancy)
-  // is reported as a point sample.
+  // Register a gauge sampled at snapshot time. A *cumulative* gauge
+  // exposes a monotonically nondecreasing total (resource busy time);
+  // delta consumers treat it like a counter, where a plain gauge (queue
+  // depth, occupancy) is reported as a point sample.
   void gauge(const std::string& path, std::function<double()> fn,
              bool cumulative = false);
+  // Each counter of `group` (and of the groups it adopted) as a cumulative
+  // gauge at `prefix` + its path; the counters must outlive snapshots.
+  void export_counters(const std::string& prefix, const CounterGroup& group);
 
   std::size_t size() const { return entries_.size(); }
 
@@ -105,6 +108,8 @@ class MetricsRegistry {
     bool g_cumulative = false;
     const LatencyHistogram* hist() const { return h ? h.get() : hv; }
   };
+  Entry& fresh_entry(const std::string& path);  // CHECKs the path is new
+
   // std::map: deterministic order and stable addresses.
   std::map<std::string, Entry> entries_;
 };

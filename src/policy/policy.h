@@ -26,6 +26,7 @@
 
 #include <cstdint>
 
+#include "common/stats.h"
 #include "obs/signals.h"
 
 namespace ordma::policy {
@@ -78,13 +79,14 @@ struct PolicyConfig {
 class PolicyEngine {
  public:
   struct Counters {
-    std::uint64_t read_decisions = 0;   // choose_read calls
-    std::uint64_t read_flips = 0;       // read preference changes
-    std::uint64_t read_explored = 0;    // forced-exploration reads
-    std::uint64_t read_vetoes = 0;      // ref held but RPC chosen
-    std::uint64_t write_decisions = 0;  // choose_write calls
-    std::uint64_t write_flips = 0;      // write preference changes
-    std::uint64_t write_explored = 0;   // forced-exploration writes
+    CounterGroup group;
+    Counter read_decisions{group, "policy/read_decisions"};  // choose_read
+    Counter read_flips{group, "policy/read_flips"};  // preference changes
+    Counter read_explored{group, "policy/read_explored"};  // forced reads
+    Counter read_vetoes{group, "policy/read_vetoes"};  // ref held, RPC chosen
+    Counter write_decisions{group, "policy/write_decisions"};  // choose_write
+    Counter write_flips{group, "policy/write_flips"};  // preference changes
+    Counter write_explored{group, "policy/write_explored"};  // forced writes
   };
 
   explicit PolicyEngine(const PolicyConfig& cfg);

@@ -67,6 +67,7 @@ class RpcClient {
         socket_(stack.bind(local_port)),
         waiters_(host.engine()),
         retry_(host, retry, "rpc") {
+    counters_.adopt(retry_.counters());
     host.engine().spawn(rx_loop());
   }
   RpcClient(const RpcClient&) = delete;
@@ -84,6 +85,7 @@ class RpcClient {
   std::uint64_t retransmits() const { return retry_.retransmits(); }
   std::uint64_t timeouts() const { return retry_.timeouts(); }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   sim::Task<void> rx_loop();
@@ -94,7 +96,8 @@ class RpcClient {
   WaiterTable<RpcReplyInfo> waiters_;
   RetryLoop retry_;
   std::uint32_t next_xid_ = 1;
-  std::uint64_t cksum_drops_ = 0;
+  CounterGroup counters_;
+  Counter cksum_drops_{counters_, "rpc/cksum_drops"};
 };
 
 // A server-side reply: results plus an optional bulk-data region that
@@ -122,6 +125,7 @@ class RpcServer {
 
   RpcServer(host::Host& host, msg::UdpStack& stack, std::uint16_t port)
       : host_(host), socket_(stack.bind(port)) {
+    counters_.adopt(dups_.counters());
     host.engine().spawn(rx_loop());
   }
   RpcServer(const RpcServer&) = delete;
@@ -135,6 +139,7 @@ class RpcServer {
   std::uint64_t dup_replays() const { return dups_.replays(); }
   std::uint64_t dup_drops() const { return dups_.drops(); }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   // Duplicate-request suppression (classic NFS xid cache), keyed by the
@@ -170,8 +175,9 @@ class RpcServer {
   msg::UdpStack::Socket& socket_;
   std::unordered_map<std::uint32_t, Handler> handlers_;
   DupCache<ReplyKey, ReplyEntry, ReplyKeyHash> dups_;
-  std::uint64_t served_ = 0;
-  std::uint64_t cksum_drops_ = 0;
+  CounterGroup counters_;
+  Counter served_{counters_, "rpc/requests_served"};
+  Counter cksum_drops_{counters_, "rpc/cksum_drops"};
 };
 
 }  // namespace ordma::rpc

@@ -25,6 +25,7 @@
 #include <utility>
 
 #include "common/result.h"
+#include "common/stats.h"
 #include "common/units.h"
 #include "host/host.h"
 #include "obs/trace.h"
@@ -114,6 +115,7 @@ class RetryLoop {
 
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t timeouts() const { return timeouts_; }
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   bool wait_forever() const { return policy_.timeout.ns <= 0; }
@@ -131,8 +133,9 @@ class RetryLoop {
   // attempt and its retransmission, which the tail explainer
   // (obs/explain.h) surfaces as a first-class cause.
   obs::Track track_;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeouts_ = 0;
+  CounterGroup counters_;
+  Counter retransmits_{counters_, "rpc/retransmits"};
+  Counter timeouts_{counters_, "rpc/timeouts"};
 };
 
 template <typename Key, typename Reply, typename Hash = std::hash<Key>>
@@ -181,13 +184,17 @@ class DupCache {
 
   std::uint64_t replays() const { return replays_; }
   std::uint64_t drops() const { return drops_; }
+  // Adopted by the ONC RPC server; DAFS keeps one cache per connection and
+  // sums them instead, so no per-connection series appears.
+  const CounterGroup& counters() const { return counters_; }
 
  private:
   // nullopt = in progress.
   std::unordered_map<Key, std::optional<Reply>, Hash> entries_;
   std::deque<Key> order_;  // completed entries, oldest first
-  std::uint64_t replays_ = 0;
-  std::uint64_t drops_ = 0;
+  CounterGroup counters_;
+  Counter replays_{counters_, "rpc/dup_replays"};
+  Counter drops_{counters_, "rpc/dup_drops"};
 };
 
 }  // namespace ordma::rpc

@@ -17,7 +17,7 @@ namespace {
 // A loopback FileClient: files are plain byte vectors, no network.
 class FakeFileClient final : public core::FileClient {
  public:
-  explicit FakeFileClient(host::Host& host) : host_(host) {}
+  explicit FakeFileClient(host::Host& host) : FileClient(host) {}
 
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override {
     co_await host_.engine().delay(usec(1));
@@ -89,7 +89,6 @@ class FakeFileClient final : public core::FileClient {
     }
     return nullptr;
   }
-  host::Host& host_;
   std::map<std::string, File> files_;
   std::uint64_t next_fh_ = 1;
 };

@@ -189,7 +189,7 @@ TEST(Health, DegradedPhaseNamesTheViolatedSlo) {
     obs::ts::RunScope run(c.engine(), "lossy");
     ASSERT_TRUE(run.active());
     c.export_metrics(run.registry());
-    c.export_file_client_metrics(run.registry(), 0, *client);
+    c.export_client(run.registry(), *client);
 
     constexpr Bytes kIo = KiB(8);
     constexpr int kPhase = 48;

@@ -328,7 +328,7 @@ std::string health_run(std::size_t index) {
 
   obs::MetricsRegistry reg;
   c.export_metrics(reg);
-  c.export_file_client_metrics(reg, 0, *client);
+  c.export_client(reg, *client);
   obs::health::HealthMonitor mon(reg);
   mon.arm(c.engine(), usec(20));
 
@@ -397,8 +397,7 @@ RunOutput odafs_run(std::size_t index, const policy::PolicyConfig& pol) {
     cfg.policy = pol;
     auto client = c.make_odafs_client(0, cfg);
     c.export_metrics(reg);
-    c.export_file_client_metrics(reg, 0, *client);
-    c.export_odafs_client_metrics(reg, 0, *client);
+    c.export_client(reg, *client);
 
     const Bytes io = KiB(4);
     const Bytes fsize = KiB(4) * 48 * (1 + index % 2);

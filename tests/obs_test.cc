@@ -67,7 +67,7 @@ TEST(TraceRecorder, OverflowLanesKeepSlicesDisjoint) {
   std::map<obs::TrackId, std::int64_t> last_end;
   rec.for_each_event([&](const auto& e) {
     auto it = last_end.find(e.track);
-    if (it != last_end.end()) EXPECT_GE(e.begin_ns, it->second);
+    if (it != last_end.end()) { EXPECT_GE(e.begin_ns, it->second); }
     last_end[e.track] = e.end_ns;
   });
 }
@@ -160,6 +160,26 @@ TEST(Metrics, RegistrySnapshotNestsPaths) {
             std::string::npos);
   EXPECT_NE(j.find(R"("client0":{"pread_us":{"count":1)"), std::string::npos);
   EXPECT_NE(j.find(R"("buckets":[{"le_us":4,"n":1}])"), std::string::npos);
+}
+
+TEST(MetricsDeathTest, SecondRegistrationAtAPathFails) {
+  obs::MetricsRegistry reg;
+  reg.gauge("server/cpu/busy_us", [] { return 1.0; });
+  EXPECT_DEATH(reg.gauge("server/cpu/busy_us", [] { return 2.0; }),
+               "metric path registered twice: server/cpu/busy_us");
+  const LatencyHistogram h;
+  EXPECT_DEATH(reg.histogram_view("server/cpu/busy_us", &h),
+               "registered twice: server/cpu/busy_us");
+  reg.counter("server/nic/tpt_miss");
+  EXPECT_DEATH(reg.gauge("server/nic/tpt_miss", [] { return 0.0; }),
+               "registered twice: server/nic/tpt_miss");
+  CounterGroup g;
+  Counter c{g, "nic/tpt_miss"};
+  EXPECT_DEATH(reg.export_counters("server/", g),
+               "registered twice: server/nic/tpt_miss");
+  // counter() stays find-or-create.
+  reg.counter("server/nic/tpt_miss").inc();
+  EXPECT_EQ(reg.counter("server/nic/tpt_miss").get(), 1u);
 }
 
 TEST(Metrics, FaultAndRecoveryCountersAppearInSnapshot) {

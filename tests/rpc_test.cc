@@ -70,6 +70,13 @@ TEST(Xdr, TruncatedInputFailsSafely) {
   EXPECT_FALSE(dec.ok());
 }
 
+TEST(XdrDeathTest, AppendAfterTakeFailsACheck) {
+  XdrEncoder enc;
+  enc.u32(1);
+  (void)enc.take();
+  EXPECT_DEATH(enc.u32(2), "BufferBuilder used after finish\\(\\) or take");
+}
+
 class RpcTest : public ::testing::Test {
  public:
   sim::Engine eng_;

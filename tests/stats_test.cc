@@ -1,10 +1,16 @@
 // Regression pins for common/stats.h: the nearest-rank percentile
 // convention and the latency-histogram bucket edges. These are load-bearing
 // for every bench table and for metrics snapshots, so the conventions are
-// pinned here rather than re-derived per caller.
+// pinned here rather than re-derived per caller. Also the counter plane's
+// group walk and copy semantics.
 #include "common/stats.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 namespace ordma {
 namespace {
@@ -88,6 +94,57 @@ TEST(LatencyHistogram, OverflowBucket) {
   h.add(sec(10));  // 1e7 us, beyond the top finite edge
   EXPECT_EQ(h.bucket_value(LatencyHistogram::bucket_count() - 1), 1u);
   EXPECT_EQ(h.max_us(), 1e7);
+}
+
+struct Owner {
+  CounterGroup counters;
+  Counter a{counters, "x/a"};
+  Counter b{counters, "x/b"};
+};
+
+std::map<std::string, std::uint64_t> walk(const CounterGroup& g) {
+  std::map<std::string, std::uint64_t> out;
+  g.for_each([&](const Counter& c) { out[c.path()] = c.get(); });
+  return out;
+}
+
+TEST(CounterGroup, WalksOwnAndAdoptedCounters) {
+  Owner outer;
+  Owner inner;
+  CounterGroup helper;
+  Counter h{helper, "y/h"};
+  inner.counters.adopt(helper);
+  outer.counters.adopt(inner.counters);
+  ++outer.a;
+  inner.b += 3;
+  h.inc(2);
+  // The inner group's paths repeat the outer's: a walk visits both, and
+  // the registry (not the walk) rejects the collision.
+  std::vector<std::string> paths;
+  outer.counters.for_each([&](const Counter& c) { paths.push_back(c.path()); });
+  std::sort(paths.begin(), paths.end());
+  EXPECT_EQ(paths, (std::vector<std::string>{"x/a", "x/a", "x/b", "x/b",
+                                             "y/h"}));
+  EXPECT_EQ(walk(inner.counters),
+            (std::map<std::string, std::uint64_t>{
+                {"x/a", 0}, {"x/b", 3}, {"y/h", 2}}));
+}
+
+TEST(CounterGroup, CopiesAreUnlinkedSnapshots) {
+  Owner o;
+  o.a.inc(4);
+  const Owner snap = o;  // e.g. a FileClient::OpStats copy
+  EXPECT_EQ(snap.a, 4u);
+  EXPECT_TRUE(walk(snap.counters).empty());
+  Owner target;
+  target = o;  // assignment moves values, not links
+  EXPECT_EQ(walk(target.counters),
+            (std::map<std::string, std::uint64_t>{{"x/a", 4}, {"x/b", 0}}));
+  ++o.a;
+  EXPECT_EQ(target.a, 4u);
+  Counter loose;  // no group: exported by no walk
+  loose.inc();
+  EXPECT_EQ(loose.path(), nullptr);
 }
 
 }  // namespace
