@@ -46,11 +46,12 @@ sim::Task<Result<CacheBlock*>> BufferCache::evict_one(obs::OpId trace_op) {
   victim->export_seg = 0;
 
   if (victim->dirty) {
-    std::vector<std::byte> data(block_size_);
-    ORDMA_CHECK(host_.kernel_as().read(victim->va, data).ok());
+    // Written straight from the block's memory: the victim is detached and
+    // its export revoked, so nothing changes those bytes while we wait.
     Status st = Status::Ok();
     for (unsigned attempt = 0; attempt < kDiskAttempts; ++attempt) {
-      st = co_await disk_.write(victim->disk_block, data, trace_op);
+      st = co_await disk_.write(victim->disk_block, host_.kernel_as(),
+                                victim->va, trace_op);
       if (st.ok() || st.code() != Errc::io_error) break;
     }
     if (!st.ok()) co_return st;
@@ -86,20 +87,18 @@ sim::Task<Result<CacheBlock*>> BufferCache::get(CacheKey key,
   b->dirty = false;
   b->valid_len = block_size_;
   if (zero_fill) {
-    const std::vector<std::byte> zeros(block_size_);
-    ORDMA_CHECK(host_.kernel_as().write(b->va, zeros).ok());
+    ORDMA_CHECK(host_.kernel_as().zero(b->va, block_size_).ok());
   } else {
-    std::vector<std::byte> data(block_size_);
     Status st = Status::Ok();
     for (unsigned attempt = 0; attempt < kDiskAttempts; ++attempt) {
-      st = co_await disk_.read(disk_block, data, trace_op);
+      st = co_await disk_.read(disk_block, host_.kernel_as(), b->va,
+                               trace_op);
       if (st.ok() || st.code() != Errc::io_error) break;
     }
     if (!st.ok()) {
       free_.push_back(b);
       co_return st;
     }
-    ORDMA_CHECK(host_.kernel_as().write(b->va, data).ok());
   }
   b->valid = true;
 
@@ -135,8 +134,10 @@ sim::Task<Status> BufferCache::sync() {
   lru_.for_each([&](CacheBlock* b) {
     if (b->dirty) dirty.push_back(b);
   });
+  // One staging buffer for the whole pass: a block stays live while its
+  // write waits, so the disk must get the bytes as they were at the start.
+  std::vector<std::byte> data(block_size_);
   for (CacheBlock* b : dirty) {
-    std::vector<std::byte> data(block_size_);
     ORDMA_CHECK(host_.kernel_as().read(b->va, data).ok());
     Status st = Status::Ok();
     for (unsigned attempt = 0; attempt < kDiskAttempts; ++attempt) {

@@ -40,6 +40,14 @@ class Disk {
                          obs::OpId trace_op = 0);
   sim::Task<Status> write(BlockNo b, std::span<const std::byte> data,
                           obs::OpId trace_op = 0);
+  // Whole-block I/O straight between the medium and [va, va+block_size)
+  // of `as`: one copy when the access completes, no staging buffer. The
+  // write reads `as` at completion time, so the caller must keep those
+  // bytes unchanged while it waits.
+  sim::Task<Status> read(BlockNo b, mem::AddressSpace& as, mem::Vaddr va,
+                         obs::OpId trace_op = 0);
+  sim::Task<Status> write(BlockNo b, const mem::AddressSpace& as,
+                          mem::Vaddr va, obs::OpId trace_op = 0);
 
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
@@ -58,6 +66,10 @@ class Disk {
 
  private:
   sim::Task<void> access(BlockNo b, obs::OpId trace_op);
+  // Count a completed access and apply any injected failure.
+  Status finish_io(BlockNo b, bool write);
+  // The stored bytes of block b, materialised (zeroed) on first use.
+  std::vector<std::byte>& stored(BlockNo b);
 
   host::Host& host_;
   Bytes block_size_;

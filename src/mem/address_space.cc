@@ -1,6 +1,7 @@
 #include "mem/address_space.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace ordma::mem {
 
@@ -68,30 +69,67 @@ Result<Paddr> AddressSpace::translate(Vaddr va, bool for_write) const {
   return frame_base(e->pfn) + page_offset(va);
 }
 
-Status AddressSpace::write(Vaddr va, std::span<const std::byte> data) {
-  std::size_t done = 0;
-  while (done < data.size()) {
-    const std::uint64_t off = page_offset(va + done);
-    const std::size_t chunk =
-        std::min<std::size_t>(data.size() - done, kPageSize - off);
-    auto pa = translate(va + done, /*for_write=*/true);
+template <typename Fn>
+Status AddressSpace::for_each_page(Vaddr va, Bytes len, bool for_write,
+                                   Fn&& fn) const {
+  Bytes done = 0;
+  while (done < len) {
+    const Bytes chunk =
+        std::min<Bytes>(len - done, kPageSize - page_offset(va + done));
+    auto pa = translate(va + done, for_write);
     if (!pa.ok()) return pa.status();
-    phys_.write(pa.value(), data.subspan(done, chunk));
+    fn(pa.value(), done, chunk);
     done += chunk;
   }
   return Status::Ok();
 }
 
+Status AddressSpace::write(Vaddr va, std::span<const std::byte> data) {
+  return for_each_page(va, data.size(), /*for_write=*/true,
+                       [&](Paddr pa, Bytes done, Bytes chunk) {
+                         phys_.write(pa, data.subspan(done, chunk));
+                       });
+}
+
 Status AddressSpace::read(Vaddr va, std::span<std::byte> out) const {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t off = page_offset(va + done);
-    const std::size_t chunk =
-        std::min<std::size_t>(out.size() - done, kPageSize - off);
-    auto pa = translate(va + done, /*for_write=*/false);
-    if (!pa.ok()) return pa.status();
-    phys_.read(pa.value(), out.subspan(done, chunk));
-    done += chunk;
+  return for_each_page(va, out.size(), /*for_write=*/false,
+                       [&](Paddr pa, Bytes done, Bytes chunk) {
+                         phys_.read(pa, out.subspan(done, chunk));
+                       });
+}
+
+Status AddressSpace::zero(Vaddr va, Bytes len) {
+  return for_each_page(va, len, /*for_write=*/true,
+                       [&](Paddr pa, Bytes, Bytes chunk) {
+                         phys_.zero(pa, chunk);
+                       });
+}
+
+Status AddressSpace::copy_from(Vaddr va, const AddressSpace& src,
+                               Vaddr src_va, Bytes len) {
+  // The rest of the current destination and source page; each side is
+  // translated once per page it enters, not once per copied run.
+  std::span<std::byte> to;
+  std::span<const std::byte> from;
+  Bytes done = 0;
+  while (done < len) {
+    if (to.empty()) {
+      auto pa = translate(va + done, /*for_write=*/true);
+      if (!pa.ok()) return pa.status();
+      to = phys_.frame_data(frame_of(pa.value()))
+               .subspan(page_offset(pa.value()));
+    }
+    if (from.empty()) {
+      auto pa = src.translate(src_va + done, /*for_write=*/false);
+      if (!pa.ok()) return pa.status();
+      from = src.phys_.view(pa.value(), kPageSize - page_offset(pa.value()));
+    }
+    const Bytes n =
+        std::min({len - done, Bytes{to.size()}, Bytes{from.size()}});
+    std::memcpy(to.data(), from.data(), n);
+    to = to.subspan(n);
+    from = from.subspan(n);
+    done += n;
   }
   return Status::Ok();
 }

@@ -94,6 +94,14 @@ class AddressSpace {
   // real memcpy-through-VM semantics; callers pre-validate).
   Status write(Vaddr va, std::span<const std::byte> data);
   Status read(Vaddr va, std::span<std::byte> out) const;
+  // Zero [va, va+len); fails like write().
+  Status zero(Vaddr va, Bytes len);
+  // Copy len bytes from (src, src_va) to va frame to frame: one memcpy per
+  // page-bounded run, no staging buffer. `src` may be this space (the
+  // ranges must not overlap). Fails like write() at the first unwritable
+  // destination or unmapped source page, with the bytes before it copied.
+  Status copy_from(Vaddr va, const AddressSpace& src, Vaddr src_va,
+                   Bytes len);
 
   // Pin/unpin a byte range (registration helper). Fails (without side
   // effects) if any page is unmapped.
@@ -104,6 +112,11 @@ class AddressSpace {
   PhysicalMemory& phys() { return phys_; }
 
  private:
+  // Translate [va, va+len) one page-bounded run at a time and hand each
+  // to fn(paddr, done, chunk); stops at the first page that faults.
+  template <typename Fn>
+  Status for_each_page(Vaddr va, Bytes len, bool for_write, Fn&& fn) const;
+
   PhysicalMemory& phys_;
   std::unordered_map<Vpn, PageEntry> table_;
 };

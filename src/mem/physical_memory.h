@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/units.h"
@@ -36,7 +36,8 @@ constexpr Paddr frame_base(Pfn f) { return f << kPageShift; }
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(std::uint64_t num_frames)
-      : num_frames_(num_frames) {}
+      : num_frames_(num_frames),
+        leaves_((num_frames + kLeafFrames - 1) / kLeafFrames) {}
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
@@ -48,19 +49,35 @@ class PhysicalMemory {
   void write(Paddr addr, std::span<const std::byte> data);
   void read(Paddr addr, std::span<std::byte> out) const;
 
+  // Read-only view of [addr, addr+len), which must lie inside one frame.
+  // A frame never written reads through a shared zero page, so a view
+  // materialises nothing. Valid until the frame is next written.
+  std::span<const std::byte> view(Paddr addr, Bytes len) const;
+
+  // Zero [addr, addr+len); may cross frame boundaries.
+  void zero(Paddr addr, Bytes len);
+
   // Direct frame access for page-sized operations (DMA fast path).
   std::span<std::byte> frame_data(Pfn f);
   std::span<const std::byte> frame_data(Pfn f) const;
 
   // Number of frames actually backed by host RAM (observability).
-  std::size_t frames_touched() const { return frames_.size(); }
+  std::size_t frames_touched() const { return frames_touched_; }
 
  private:
   using Frame = std::array<std::byte, kPageSize>;
   Frame& materialise(Pfn f) const;
+  const Frame* find(Pfn f) const;
+
+  // Two-level frame table: a directory of lazily allocated leaves of
+  // kLeafFrames frame pointers. A lookup is two indexed loads, with no
+  // hashing, and an untouched 512 MB host costs a 2 KB directory.
+  static constexpr std::uint64_t kLeafFrames = 512;
+  using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
 
   std::uint64_t num_frames_;
-  mutable std::unordered_map<Pfn, std::unique_ptr<Frame>> frames_;
+  mutable std::vector<std::unique_ptr<Leaf>> leaves_;
+  mutable std::size_t frames_touched_ = 0;
 };
 
 }  // namespace ordma::mem

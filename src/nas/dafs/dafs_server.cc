@@ -272,7 +272,11 @@ sim::Task<void> DafsServer::do_write(msg::ViConnection& conn,
   const fs::Ino ino = dec.u64();
   const Bytes off = dec.u64();
 
-  std::vector<std::byte> data;
+  // A view of the received bytes, passed to the file system as they are:
+  // the request message (inline) or the pulled buffer (direct) outlives
+  // the write.
+  std::span<const std::byte> data;
+  net::Buffer pulled;
   if (direct) {
     const Bytes len = dec.u32();
     const mem::Vaddr client_va = dec.u64();
@@ -284,11 +288,10 @@ sim::Task<void> DafsServer::do_write(msg::ViConnection& conn,
       out.u32(err_u32(res.code()));
       co_return;
     }
-    const auto v = res.value().view();
-    data.assign(v.begin(), v.end());
+    pulled = std::move(res.value());
+    data = pulled.view();
   } else {
-    const auto v = dec.opaque();
-    data.assign(v.begin(), v.end());
+    data = dec.opaque();
     // Inline write data is staged through kernel buffers.
     co_await host_.copy(data.size(), trace_op);
   }

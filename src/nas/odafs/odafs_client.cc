@@ -394,13 +394,12 @@ sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
     if (boff >= h.valid) break;  // EOF inside this block
     const Bytes avail = std::min<Bytes>(chunk, h.valid - boff);
 
-    // Cache block → user buffer copy.
-    std::vector<std::byte> tmp(avail);
-    ORDMA_CHECK(host_.user_as()
-                    .read(cache_.block_va(h) + boff, tmp)
-                    .ok());
+    // Cache block → user buffer copy. The bytes move before the copy's CPU
+    // time is charged: the block may be refilled or evicted during it.
+    const Status copied = host_.user_as().copy_from(
+        user_va + done, host_.user_as(), cache_.block_va(h) + boff, avail);
     co_await host_.copy(avail, op);
-    if (!host_.user_as().write(user_va + done, tmp).ok()) {
+    if (!copied.ok()) {
       co_await drain_guard.drain();
       co_return Errc::access_fault;
     }

@@ -2,10 +2,12 @@
 //
 // Payload bytes are held in shared immutable buffers; fragments are
 // zero-copy views (offset/length) into the message buffer, exactly like a
-// NIC DMA-ing out of one host buffer. Header bytes are modelled as wire
-// overhead (they cost bandwidth) without being materialised — protocol
-// *contents* that matter (RPC headers) are real marshalled bytes inside the
-// payload.
+// NIC DMA-ing out of one host buffer, and the receiver joins them back
+// zero-copy too (Buffer::join): fragments that arrive as adjacent slices
+// of one buffer become one slice of it again. Header bytes are modelled as
+// wire overhead (they cost bandwidth) without being materialised —
+// protocol *contents* that matter (RPC headers) are real marshalled bytes
+// inside the payload.
 //
 // Buffer backing store is pooled: each Buffer points at a manually
 // refcounted Rep (the simulation is single-threaded, so the count is a
@@ -91,6 +93,13 @@ class Buffer {
     b.rep_->bytes = std::move(data);
     return b;
   }
+
+  // One buffer of `total` bytes holding `parts` in order. When the parts
+  // are adjacent slices of one rep (a sender's fragments, untouched on the
+  // wire) the result is a slice of that rep: no copy. Anything else — a
+  // fault-corrupted private copy, fragments of two sends of the same
+  // message — is gathered once into a fresh pooled rep.
+  static Buffer join(std::span<const Buffer> parts, std::size_t total);
 
   Buffer slice(std::size_t offset, std::size_t len) const {
     ORDMA_CHECK(offset <= len_ && len <= len_ - offset);
@@ -234,6 +243,35 @@ class BufferBuilder {
 
   Buffer b_;
 };
+
+inline Buffer Buffer::join(std::span<const Buffer> parts, std::size_t total) {
+  const Buffer* first = nullptr;
+  bool adjacent = true;
+  std::size_t n = 0;
+  for (const Buffer& p : parts) {
+    if (p.empty()) continue;
+    if (!first) {
+      first = &p;
+    } else if (p.rep_ != first->rep_ || p.off_ != first->off_ + n) {
+      adjacent = false;
+    }
+    n += p.len_;
+  }
+  ORDMA_CHECK_MSG(n == total, "Buffer::join: parts do not add up to total");
+  if (!first) return Buffer();
+  if (adjacent) {
+    Buffer b = *first;
+    b.len_ = total;
+    return b;
+  }
+  BufferBuilder out;
+  out.bytes().reserve(total);
+  for (const Buffer& p : parts) {
+    const auto v = p.view();
+    out.bytes().insert(out.bytes().end(), v.begin(), v.end());
+  }
+  return out.finish();
+}
 
 // Link-level protocol carried by a packet; the receiving NIC firmware
 // demuxes on this.

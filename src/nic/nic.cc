@@ -241,40 +241,24 @@ sim::Task<void> Nic::rx_loop() {
 sim::Task<void> Nic::handle_gm_data(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
   const RxKey key{p.src, p.msg_id};
-  auto& tr = gm_rx_received_[key];
-  if (tr.seen.empty()) tr.seen.resize(p.frag_count, false);
-  if (p.frag_index >= tr.seen.size() || tr.seen[p.frag_index]) {
-    co_return;  // duplicated fragment: already placed
-  }
-  tr.seen[p.frag_index] = true;
-  auto& buf = gm_rx_[key];
-  if (buf.size() != p.msg_total) buf = net::Buffer::alloc(p.msg_total);
-
-  if (!p.payload.empty()) {
-    // into host receive buffer
-    co_await dma_transfer(p.payload.size(), p.trace_op);
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(), buf.mutable_view().begin() + off);
-  }
-  auto& got = gm_rx_received_[key].got;
-  got += 1;
-  if (got == p.frag_count) {
-    GmMessage msg;
-    msg.src = p.src;
-    msg.user_tag = ctrl.user_tag;
-    msg.data = std::move(buf);
-    msg.trace_op = p.trace_op;
-    gm_rx_.erase(key);
-    gm_rx_received_.erase(key);
-    obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
-    auto it = ports_.find(ctrl.port);
-    if (it != ports_.end()) {
-      it->second->send(std::move(msg));
-    } else {
-      ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
-                      host_.name().c_str(), ctrl.port);
-    }
+  if (!gm_rx_[key].add(p)) co_return;  // duplicated fragment: already placed
+  // DMA into the host receive buffer.
+  if (!p.payload.empty()) co_await dma_transfer(p.payload.size(), p.trace_op);
+  auto rx = gm_rx_.find(key);
+  if (!rx->second.complete()) co_return;
+  GmMessage msg;
+  msg.src = p.src;
+  msg.user_tag = ctrl.user_tag;
+  msg.data = net::Buffer::join(rx->second.frags, p.msg_total);
+  msg.trace_op = p.trace_op;
+  gm_rx_.erase(rx);
+  obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
+  auto it = ports_.find(ctrl.port);
+  if (it != ports_.end()) {
+    it->second->send(std::move(msg));
+  } else {
+    ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
+                    host_.name().c_str(), ctrl.port);
   }
 }
 
@@ -441,46 +425,32 @@ sim::Task<void> Nic::service_get(net::Packet p) {
   }
 
   ++ordma_served_;
-  // Gather the real bytes out of host physical memory.
-  net::Buffer data = net::Buffer::alloc(ctrl.rdma_len);
-  const auto w = data.mutable_view();
-  Bytes off = 0;
-  auto& phys = seg->as->phys();
+  // Gather the real bytes out of host physical memory: one copy per page
+  // run, appended into a pooled rep (no zero-fill first).
+  net::BufferBuilder gather;
+  auto& bytes = gather.bytes();
+  bytes.reserve(ctrl.rdma_len);
+  const auto& phys = seg->as->phys();
   for (const auto& run : runs.value()) {
-    phys.read(mem::frame_base(run.pfn) + run.offset,
-              w.subspan(off, run.chunk));
-    off += run.chunk;
+    const auto v =
+        phys.view(mem::frame_base(run.pfn) + run.offset, run.chunk);
+    bytes.insert(bytes.end(), v.begin(), v.end());
   }
-  co_await send_fragments(p.src, std::move(data), reply,
-                          /*charge_dma=*/true, p.trace_op);
+  co_await send_fragments(p.src, gather.finish(), reply, /*charge_dma=*/true,
+                          p.trace_op);
 }
 
 sim::Task<void> Nic::handle_put_req(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
   const RxKey key{p.src, p.msg_id};
-  auto& tr = gm_rx_received_[key];
-  if (tr.seen.empty()) tr.seen.resize(p.frag_count, false);
-  if (p.frag_index >= tr.seen.size() || tr.seen[p.frag_index]) {
-    co_return;  // duplicated fragment: already placed
-  }
-  tr.seen[p.frag_index] = true;
-  auto& buf = gm_rx_[key];
-  if (buf.size() != p.msg_total) buf = net::Buffer::alloc(p.msg_total);
-  if (!p.payload.empty()) {
-    // Each fragment is DMA'd towards host memory as it arrives, so the
-    // bulk transfer overlaps with reception of later fragments.
-    co_await dma_transfer(p.payload.size(), p.trace_op);
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(), buf.mutable_view().begin() + off);
-  }
-  auto& got = gm_rx_received_[key].got;
-  got += 1;
-  if (got != p.frag_count) co_return;
-
-  net::Buffer data = std::move(buf);
-  gm_rx_.erase(key);
-  gm_rx_received_.erase(key);
+  if (!gm_rx_[key].add(p)) co_return;  // duplicated fragment: already placed
+  // Each fragment is DMA'd towards host memory as it arrives, so the bulk
+  // transfer overlaps with reception of later fragments.
+  if (!p.payload.empty()) co_await dma_transfer(p.payload.size(), p.trace_op);
+  auto rx = gm_rx_.find(key);
+  if (!rx->second.complete()) co_return;
+  net::Buffer data = net::Buffer::join(rx->second.frags, p.msg_total);
+  gm_rx_.erase(rx);
 
   // A duplicated frame arriving after the tracker above was erased would
   // reassemble the whole message again (single-fragment puts trivially so)
@@ -552,32 +522,18 @@ sim::Task<void> Nic::handle_get_reply(net::Packet p) {
     it->second->done.set(Result<net::Buffer>(ctrl.fault));
     co_return;
   }
-  {
-    PendingOp& op = *it->second;
-    if (op.reassembly.size() != p.msg_total) {
-      op.reassembly = net::Buffer::alloc(p.msg_total);
-    }
-    if (op.frag_seen.empty()) op.frag_seen.resize(p.frag_count, false);
-    if (p.frag_index >= op.frag_seen.size() || op.frag_seen[p.frag_index]) {
-      co_return;  // duplicated fragment
-    }
-    op.frag_seen[p.frag_index] = true;
-  }
+  if (!it->second->reply.add(p)) co_return;  // duplicated fragment
   if (!p.payload.empty()) {
     // Fragments are DMA'd into the initiator's buffer as they arrive.
     co_await dma_transfer(p.payload.size(), p.trace_op);
     // The initiator may have timed out and erased the op while we DMA'd.
     it = pending_.find(ctrl.op_id);
     if (it == pending_.end()) co_return;
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(),
-              it->second->reassembly.mutable_view().begin() + off);
   }
   PendingOp& op = *it->second;
-  op.received += 1;
-  if (op.received == p.frag_count) {
-    op.done.set(Result<net::Buffer>(std::move(op.reassembly)));
+  if (op.reply.complete()) {
+    op.done.set(
+        Result<net::Buffer>(net::Buffer::join(op.reply.frags, p.msg_total)));
   }
 }
 

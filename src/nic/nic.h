@@ -195,12 +195,33 @@ class Nic {
   const CounterGroup& counters() const { return counters_; }
 
  private:
+  // Reassembly of one inbound GM message. The fragments are kept, not
+  // copied, and joined on completion (net::Buffer::join: zero-copy when
+  // they are adjacent slices of the sender's buffer). A slot per fragment
+  // dedups duplicated frames, so a duplicate cannot complete a message
+  // that still has holes; every fragment but the single one of an empty
+  // message carries bytes, so an empty slot means "not yet seen".
+  struct FragTracker {
+    std::vector<net::Buffer> frags;
+    std::uint32_t got = 0;
+
+    // Record p's fragment; false for a duplicate (or a bad index).
+    bool add(const net::Packet& p) {
+      if (frags.empty()) frags.resize(p.frag_count);
+      if (p.frag_index >= frags.size() || !frags[p.frag_index].empty()) {
+        return false;
+      }
+      frags[p.frag_index] = p.payload;
+      ++got;
+      return true;
+    }
+    bool complete() const { return got == frags.size(); }
+  };
+
   struct PendingOp {
     explicit PendingOp(sim::Engine& eng) : done(eng) {}
     sim::Event<Result<net::Buffer>> done;  // get: data; put: empty buffer
-    net::Buffer reassembly;  // pooled; filled in place as fragments arrive
-    Bytes received = 0;
-    std::vector<bool> frag_seen;  // per-fragment dedup (links may duplicate)
+    FragTracker reply;                     // get reply fragments
   };
 
   struct EthReassembly {
@@ -292,15 +313,8 @@ class Nic {
                                         k.msg_id);
     }
   };
-  // Reassembly progress for an inbound GM message: fragment count plus a
-  // per-fragment bitmap so a duplicated frame cannot complete a message
-  // that still has holes.
-  struct FragTracker {
-    Bytes got = 0;
-    std::vector<bool> seen;
-  };
-  std::unordered_map<RxKey, net::Buffer, RxKeyHash> gm_rx_;
-  std::unordered_map<RxKey, FragTracker, RxKeyHash> gm_rx_received_;
+  // Inbound GM data and put messages being reassembled.
+  std::unordered_map<RxKey, FragTracker, RxKeyHash> gm_rx_;
 
   // Export
   Tpt tpt_;

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -109,14 +110,22 @@ void json_escaped(std::ostream& os, const std::string& s) {
   }
 }
 
+// Integral values (every cumulative counter) print exactly, digit for
+// digit; anything else prints as the shortest decimal that parses back to
+// the same double.
 void emit_number(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << "null";
     return;
   }
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
+  if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    os << buf;
+    return;
+  }
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, r.ptr - buf);
 }
 
 }  // namespace

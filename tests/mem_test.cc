@@ -2,6 +2,7 @@
 // pin/lock semantics, registrations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -57,6 +58,19 @@ TEST(PhysicalMemory, FrameDataGivesWholePage) {
   std::vector<std::byte> out(1);
   pm.read(frame_base(2), out);
   EXPECT_EQ(out[0], std::byte{0xAB});
+}
+
+TEST(PhysicalMemory, ViewOfUntouchedFrameIsZeroAndMaterialisesNothing) {
+  PhysicalMemory pm(4);
+  const auto v = pm.view(2 * kPageSize + 10, 100);
+  ASSERT_EQ(v.size(), 100u);
+  EXPECT_TRUE(std::all_of(v.begin(), v.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_EQ(pm.frames_touched(), 0u);
+  const auto data = bytes({1, 2, 3});
+  pm.write(2 * kPageSize + 10, data);
+  const auto w = pm.view(2 * kPageSize + 10, 3);
+  EXPECT_TRUE(std::equal(w.begin(), w.end(), data.begin()));
 }
 
 TEST(FrameAllocator, AllocatesDistinctFramesAndRecycles) {
@@ -121,6 +135,78 @@ TEST_F(AddressSpaceTest, ReadWriteThroughPageTable) {
   std::vector<std::byte> out(data.size());
   ASSERT_TRUE(as_.read(kPageSize - 16, out).ok());
   EXPECT_EQ(out, data);
+}
+
+std::vector<std::byte> numbered(std::size_t n, int seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 13 + seed) & 0xff);
+  }
+  return v;
+}
+
+TEST_F(AddressSpaceTest, CopyFromCrossesMisalignedPages) {
+  // Source and destination page boundaries fall at different offsets of
+  // the copy, and neither space's frames are contiguous.
+  PhysicalMemory other_pm(16);
+  AddressSpace src(other_pm);
+  for (Vpn v = 0; v < 4; ++v) src.map(10 + v, 11 - v);
+  for (Vpn v = 0; v < 4; ++v) as_.map(20 + v, 40 - 3 * v);
+  const auto data = numbered(2 * kPageSize + 300, 1);
+  const Vaddr src_va = 10 * kPageSize + 1000;
+  const Vaddr dst_va = 20 * kPageSize + 3000;
+  ASSERT_TRUE(src.write(src_va, data).ok());
+
+  ASSERT_TRUE(as_.copy_from(dst_va, src, src_va, data.size()).ok());
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(as_.read(dst_va, out).ok());
+  EXPECT_EQ(out, data);
+
+  // Within one space, from untouched (zero) memory.
+  ASSERT_TRUE(as_.copy_from(dst_va, as_, 23 * kPageSize + 5, 100).ok());
+  ASSERT_TRUE(as_.read(dst_va, std::span(out).first(100)).ok());
+  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + 100,
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST_F(AddressSpaceTest, CopyFromFaultsWithWritesPartialProgress) {
+  PhysicalMemory other_pm(16);
+  AddressSpace src(other_pm);
+  for (Vpn v = 0; v < 3; ++v) src.map(v, v + 1);
+  const auto data = numbered(3 * kPageSize - 200, 2);
+  ASSERT_TRUE(src.write(100, data).ok());
+
+  // Read-only destination page: copy_from stops where write() stops.
+  PhysicalMemory twin_pm(64);
+  AddressSpace twin(twin_pm);
+  for (AddressSpace* as : {&as_, &twin}) {
+    as->map(5, 6);
+    as->map(6, 7, /*writable=*/false);
+    as->map(7, 8);
+  }
+  const Vaddr dst_va = 5 * kPageSize + 50;
+  EXPECT_EQ(as_.copy_from(dst_va, src, 100, data.size()).code(),
+            Errc::access_fault);
+  EXPECT_EQ(twin.write(dst_va, data).code(), Errc::access_fault);
+  for (Pfn f : {6, 7, 8}) {
+    const auto a = pm_.frame_data(f);
+    const auto b = twin_pm.frame_data(f);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "frame " << f;
+  }
+
+  // Unmapped source page: the bytes before it land, nothing after it.
+  src.unmap(2);
+  as_.protect(6, /*writable=*/true);
+  const std::vector<std::byte> before(data.size(), std::byte{0xee});
+  ASSERT_TRUE(as_.write(dst_va, before).ok());
+  EXPECT_EQ(as_.copy_from(dst_va, src, 100, data.size()).code(),
+            Errc::access_fault);
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(as_.read(dst_va, out).ok());
+  const std::size_t landed = 2 * kPageSize - 100;  // up to source vpn 2
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + landed, data.begin()));
+  EXPECT_TRUE(std::equal(out.begin() + landed, out.end(),
+                         before.begin() + landed));
 }
 
 TEST_F(AddressSpaceTest, PinPreventsUnmapUntilUnpinned) {

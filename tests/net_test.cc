@@ -112,6 +112,73 @@ TEST(Buffer, PoolChurnSurvivesManyLiveBuffers) {
                          data.begin() + 299 % 32));
 }
 
+// Fragments of one buffer, cut the way a sending NIC cuts them.
+std::vector<Buffer> fragments(const Buffer& b, std::size_t mtu) {
+  std::vector<Buffer> parts;
+  for (std::size_t off = 0; off < b.size(); off += mtu) {
+    parts.push_back(b.slice(off, std::min(mtu, b.size() - off)));
+  }
+  return parts;
+}
+
+bool same_bytes(const Buffer& b, std::span<const std::byte> want) {
+  const auto v = b.view();
+  return v.size() == want.size() &&
+         std::equal(v.begin(), v.end(), want.begin());
+}
+
+TEST(BufferJoin, AdjacentSlicesReturnTheSendersBytes) {
+  const auto data = pattern(10000, 3);
+  const Buffer sent = Buffer::copy_of(data);
+  const Buffer joined = Buffer::join(fragments(sent, 4096), data.size());
+  EXPECT_EQ(joined.view().data(), sent.view().data());  // no copy
+  EXPECT_TRUE(same_bytes(joined, data));
+
+  // A run of slices that starts inside the rep joins in place too.
+  const std::vector<Buffer> mid = {sent.slice(100, 50), sent.slice(150, 70)};
+  const Buffer m = Buffer::join(mid, 120);
+  EXPECT_EQ(m.view().data(), sent.view().data() + 100);
+  EXPECT_TRUE(same_bytes(m, std::span(data).subspan(100, 120)));
+}
+
+TEST(BufferJoin, CorruptedCopyFallsBackToOneGather) {
+  auto data = pattern(10000, 5);
+  const Buffer sent = Buffer::copy_of(data);
+  auto parts = fragments(sent, 4096);
+  // A link that damages a frame hands on a private copy with a flipped bit.
+  Buffer damaged = Buffer::copy_of(parts[1].view());
+  damaged.mutable_view()[7] ^= std::byte{0x10};
+  parts[1] = damaged;
+  data[4096 + 7] ^= std::byte{0x10};
+  const Buffer joined = Buffer::join(parts, data.size());
+  EXPECT_NE(joined.view().data(), sent.view().data());
+  EXPECT_TRUE(same_bytes(joined, data));
+}
+
+TEST(BufferJoin, NonAdjacentPartsAreGathered) {
+  const auto data = pattern(300, 9);
+  const Buffer a = Buffer::copy_of(data);
+  const Buffer b = Buffer::copy_of(data);  // equal bytes, another rep
+  // Out of order within one rep, and two reps side by side.
+  const std::vector<Buffer> swapped = {a.slice(200, 100), a.slice(0, 200)};
+  const std::vector<Buffer> mixed = {a.slice(0, 100), b.slice(100, 200)};
+  const Buffer s = Buffer::join(swapped, 300);
+  const Buffer m = Buffer::join(mixed, 300);
+
+  std::vector<std::byte> want(data.begin() + 200, data.end());
+  want.insert(want.end(), data.begin(), data.begin() + 200);
+  EXPECT_TRUE(same_bytes(s, want));
+  EXPECT_TRUE(same_bytes(m, data));
+  EXPECT_NE(m.view().data(), a.view().data());
+  EXPECT_NE(m.view().data(), b.view().data());
+}
+
+TEST(BufferJoin, ZeroTotal) {
+  EXPECT_TRUE(Buffer::join({}, 0).empty());
+  const std::vector<Buffer> one_empty(1);
+  EXPECT_TRUE(Buffer::join(one_empty, 0).empty());
+}
+
 TEST(Link, DeliversAfterSerialisationPlusLatency) {
   sim::Engine eng;
   Link link(eng, MBps(100), usec(5), "l");

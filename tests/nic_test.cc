@@ -396,5 +396,92 @@ TEST_F(NicTest, OrdmaDoesNotUseTargetHostCpu) {
   EXPECT_EQ((after.busy - before.busy).ns, 0);
 }
 
+// A stand-in target node that answers one get with hand-cut reply
+// fragments, so a test controls exactly which frames arrive in which order.
+class ScriptedTarget {
+ public:
+  // `script` lists (fragment index, buffer to slice it from) in arrival
+  // order; every fragment is cm.gm_mtu bytes but the last.
+  ScriptedTarget(net::Fabric& fabric, const host::CostModel& cm,
+                 std::vector<std::pair<std::uint32_t, net::Buffer>> script)
+      : fabric_(fabric), cm_(cm), script_(std::move(script)) {
+    node_ = fabric_.add_node("scripted", [this](net::Packet p) { reply(p); });
+  }
+  net::NodeId node() const { return node_; }
+
+ private:
+  void reply(const net::Packet& req) {
+    const auto ctrl = req.ctrl.get<GmCtrl>();
+    ASSERT_EQ(ctrl.op, GmOp::get_req);
+    const Bytes total = ctrl.rdma_len;
+    const auto count =
+        static_cast<std::uint32_t>((total + cm_.gm_mtu - 1) / cm_.gm_mtu);
+    for (const auto& [index, from] : script_) {
+      const Bytes off = index * cm_.gm_mtu;
+      GmCtrl r;
+      r.op = GmOp::get_reply;
+      r.op_id = ctrl.op_id;
+      net::Packet p;
+      p.src = node_;
+      p.dst = req.src;
+      p.header_bytes = cm_.gm_header;
+      p.payload = from.slice(off, std::min<Bytes>(cm_.gm_mtu, total - off));
+      p.msg_id = 1;
+      p.frag_index = index;
+      p.frag_count = count;
+      p.msg_total = total;
+      p.ctrl = r;
+      fabric_.send(std::move(p));
+    }
+  }
+
+  net::Fabric& fabric_;
+  const host::CostModel& cm_;
+  std::vector<std::pair<std::uint32_t, net::Buffer>> script_;
+  net::NodeId node_ = net::kInvalidNode;
+};
+
+Result<net::Buffer> scripted_get(sim::Engine& eng, Nic& nic,
+                                 const ScriptedTarget& target, Bytes len) {
+  Result<net::Buffer> res = Errc::timed_out;
+  eng.spawn([](Nic& nic, net::NodeId dst, Bytes len,
+               Result<net::Buffer>& out) -> sim::Task<void> {
+    out = co_await nic.gm_get(dst, 0, len, crypto::Capability{});
+  }(nic, target.node(), len, res));
+  eng.run();
+  return res;
+}
+
+TEST_F(NicTest, GetWithDuplicatedFragmentReturnsSendersBytes) {
+  const auto data = pattern(2 * 4096 + 1000, 5);  // 3 GM fragments
+  ASSERT_EQ(cm_.gm_mtu, 4096u);
+  const net::Buffer sent = net::Buffer::copy_of(data);
+  ScriptedTarget target(fabric_, cm_,
+                        {{0, sent}, {1, sent}, {1, sent}, {2, sent}});
+  const auto res = scripted_get(eng_, *na_, target, data.size());
+  ASSERT_TRUE(res.ok());
+  const auto v = res.value().view();
+  ASSERT_EQ(v.size(), data.size());
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), data.begin()));
+  EXPECT_EQ(v.data(), sent.view().data());  // joined without a copy
+}
+
+TEST_F(NicTest, GetWithFragmentsFromTwoSendsGathersThem) {
+  // The duplicate of fragment 2 comes from a second send of equal bytes
+  // (another buffer) and arrives first; the reply is gathered once.
+  const auto data = pattern(2 * 4096 + 1000, 6);
+  const net::Buffer first = net::Buffer::copy_of(data);
+  const net::Buffer second = net::Buffer::copy_of(data);
+  ScriptedTarget target(fabric_, cm_,
+                        {{2, second}, {0, first}, {1, first}, {2, first}});
+  const auto res = scripted_get(eng_, *na_, target, data.size());
+  ASSERT_TRUE(res.ok());
+  const auto v = res.value().view();
+  ASSERT_EQ(v.size(), data.size());
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), data.begin()));
+  EXPECT_NE(v.data(), first.view().data());
+  EXPECT_NE(v.data(), second.view().data());
+}
+
 }  // namespace
 }  // namespace ordma::nic

@@ -162,6 +162,24 @@ TEST(Metrics, RegistrySnapshotNestsPaths) {
   EXPECT_NE(j.find(R"("buckets":[{"le_us":4,"n":1}])"), std::string::npos);
 }
 
+TEST(Metrics, NumbersSerialiseExactly) {
+  obs::MetricsRegistry reg;
+  reg.gauge("net/0/down_bytes", [] { return 3293611.0; });
+  reg.gauge("big", [] { return 9007199254740991.0; });  // 2^53 - 1
+  reg.gauge("ratio", [] { return 0.1; });
+  reg.gauge("third", [] { return 1.0 / 3.0; });
+  std::ostringstream os;
+  reg.write_json(os);
+  const std::string j = os.str();
+  EXPECT_NE(j.find(R"("down_bytes":3293611})"), std::string::npos) << j;
+  EXPECT_NE(j.find(R"("big":9007199254740991,)"), std::string::npos) << j;
+  EXPECT_NE(j.find(R"("ratio":0.1,)"), std::string::npos) << j;
+  // Non-integral values print round-trip: parsing gives the same double.
+  const auto at = j.find(R"("third":)");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::stod(j.substr(at + 8)), 1.0 / 3.0);
+}
+
 TEST(MetricsDeathTest, SecondRegistrationAtAPathFails) {
   obs::MetricsRegistry reg;
   reg.gauge("server/cpu/busy_us", [] { return 1.0; });
