@@ -12,7 +12,6 @@ DafsClient::DafsClient(host::Host& host, net::NodeId server,
     : FileClient(host),
       server_(server),
       cfg_(cfg),
-      trk_app_(host.name(), "app"),
       waiters_(host.engine()),
       retry_(host, cfg.retry, "dafs.rpc") {
   counters_.adopt(retry_.counters());
@@ -262,32 +261,6 @@ sim::Task<Result<std::vector<Bytes>>> DafsClient::read_batch(
   co_return ns;
 }
 
-sim::Task<Result<DafsClient::Registered*>> DafsClient::ensure_registered(
-    mem::Vaddr va, Bytes len, obs::OpId trace_op) {
-  auto lookup = [&]() -> Registered* {
-    for (auto& r : regs_) {
-      if (va >= r.host_base && va + len <= r.host_base + r.len) return &r;
-    }
-    return nullptr;
-  };
-  if (auto* r = lookup()) co_return r;
-  const mem::Vaddr base = va & ~(mem::kPageSize - 1);
-  const Bytes aligned_len =
-      ((va + len + mem::kPageSize - 1) & ~(mem::kPageSize - 1)) - base;
-  co_await host_.cpu_consume(host_.costs().memory_register, trace_op,
-                             "io/register");
-  // Re-check after the await: a concurrent caller may have registered the
-  // range while this one waited for the CPU (single-flight; duplicate
-  // exports would flood the NIC TLB with redundant pinned entries).
-  if (auto* r = lookup()) co_return r;
-  auto cap = host_.nic().export_segment(host_.user_as(), base, aligned_len,
-                                        crypto::SegPerm::read_write,
-                                        /*pin_now=*/true);
-  if (!cap.ok()) co_return cap.status();
-  regs_.push_back(Registered{base, aligned_len, cap.value()});
-  co_return &regs_.back();
-}
-
 // ---------------------------------------------------------------------------
 // FileClient interface
 // ---------------------------------------------------------------------------
@@ -316,56 +289,24 @@ sim::Task<Status> DafsClient::close(std::uint64_t fh) {
   co_return co_await dafs_close(fh);
 }
 
-sim::Task<Result<Bytes>> DafsClient::pread(std::uint64_t fh, Bytes off,
-                                           mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
-}
-
-namespace {
-// Failures worth a whole-operation re-issue (new req_id): a request that
-// gave up on retransmits, a transfer refused by a (spuriously) revoked
-// capability, or a transient media error.
-bool retryable(Errc e) {
-  return e == Errc::timed_out || e == Errc::revoked || e == Errc::io_error;
-}
-}  // namespace
-
 sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
                                               mem::Vaddr user_va, Bytes len,
                                               obs::OpId op) {
   if (!cfg_.direct_reads) {
-    Status last = Status(Errc::io_error);
-    for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-      auto res = co_await read_inline(fh, off, len, op);
-      if (!res.ok()) {
-        last = res.status();
-        if (retryable(last.code())) {
-          note_retry();
-          obs::note_op_retry(op);
-          continue;
-        }
-        co_return last;
-      }
-      // Copy from the communication buffer into the user buffer.
-      co_await host_.copy(res.value().n, op);
-      if (res.value().n > 0 &&
-          !host_.user_as()
-               .write(user_va, res.value().inline_data.view().subspan(
-                                   0, res.value().n))
-               .ok()) {
-        co_return Errc::access_fault;
-      }
-      co_return res.value().n;
+    auto res = co_await reissue(cfg_.max_io_attempts, op, retryable, [&] {
+      return read_inline(fh, off, len, op);
+    });
+    if (!res.ok()) co_return res.status();
+    // Copy from the communication buffer into the user buffer.
+    const Bytes n = res.value().n;
+    co_await host_.copy(n, op);
+    if (n > 0 &&
+        !host_.user_as()
+             .write(user_va, res.value().inline_data.view().subspan(0, n))
+             .ok()) {
+      co_return Errc::access_fault;
     }
-    co_return last;
+    co_return n;
   }
   auto reg = co_await ensure_registered(user_va, len, op);
   if (!reg.ok()) co_return reg.status();
@@ -373,45 +314,20 @@ sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
   // data frame is invisible at the transport level. Verify the landed bytes
   // against the reply's checksum and re-issue the read (bounded) on
   // mismatch; exhausted retries give up with io_error.
-  Status last = Status(Errc::io_error);
-  for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-    auto res = co_await read_direct(fh, off, len,
-                                    reg.value()->nic_va(user_va),
-                                    reg.value()->cap, op);
-    if (!res.ok()) {
-      last = res.status();
-      if (retryable(last.code())) {
-        note_retry();
-        obs::note_op_retry(op);
-        continue;
-      }
-      co_return last;
-    }
-    const Bytes n = res.value().n;
-    std::vector<std::byte> landed(n);
-    if (n > 0 && !host_.user_as().read(user_va, landed).ok()) {
-      co_return Errc::access_fault;
-    }
-    if (data_checksum(landed) == res.value().data_cksum) co_return n;
-    ++integrity_retries_;
-    note_retry();
-    obs::note_op_retry(op);
-    last = Status(Errc::io_error);
-  }
-  co_return last;
-}
-
-sim::Task<Result<Bytes>> DafsClient::pwrite(std::uint64_t fh, Bytes off,
-                                            mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
+  co_return co_await reissue(
+      cfg_.max_io_attempts, op, retryable,
+      [&]() -> sim::Task<Result<Bytes>> {
+        auto res = co_await read_direct(fh, off, len,
+                                        reg.value()->nic_va(user_va),
+                                        reg.value()->cap, op);
+        if (!res.ok()) co_return res.status();
+        const Status landed = check_landed(host_.user_as(), user_va,
+                                           res.value().n,
+                                           res.value().data_cksum);
+        if (landed.code() == Errc::io_error) ++integrity_retries_;
+        if (!landed.ok()) co_return landed;
+        co_return res.value().n;
+      });
 }
 
 sim::Task<Result<Bytes>> DafsClient::pwrite_op(std::uint64_t fh, Bytes off,
@@ -419,39 +335,21 @@ sim::Task<Result<Bytes>> DafsClient::pwrite_op(std::uint64_t fh, Bytes off,
                                                obs::OpId op) {
   // Writes are idempotent (same data, same offset), so a whole-operation
   // re-issue after a timeout/revocation/transient error is safe.
-  Result<Bytes> last = Errc::io_error;
-  for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-    if (!cfg_.direct_reads) {
-      std::vector<std::byte> data(len);
-      if (!host_.user_as().read(user_va, data).ok()) {
-        co_return Errc::access_fault;
-      }
-      last = co_await write_inline(fh, off, data, op);
-    } else {
-      auto reg = co_await ensure_registered(user_va, len, op);
-      if (!reg.ok()) co_return reg.status();
-      last = co_await write_direct(fh, off, len,
-                                   reg.value()->nic_va(user_va),
-                                   reg.value()->cap, op);
+  if (!cfg_.direct_reads) {
+    std::vector<std::byte> data(len);
+    if (!host_.user_as().read(user_va, data).ok()) {
+      co_return Errc::access_fault;
     }
-    if (last.ok() || !retryable(last.code())) co_return last;
-    if (attempt < cfg_.max_io_attempts) {
-      note_retry();
-      obs::note_op_retry(op);
-    }
+    co_return co_await reissue(cfg_.max_io_attempts, op, retryable, [&] {
+      return write_inline(fh, off, data, op);
+    });
   }
-  co_return last;
-}
-
-sim::Task<Result<fs::Attr>> DafsClient::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  co_return r;
+  auto reg = co_await ensure_registered(user_va, len, op);
+  if (!reg.ok()) co_return reg.status();
+  co_return co_await reissue(cfg_.max_io_attempts, op, retryable, [&] {
+    return write_direct(fh, off, len, reg.value()->nic_va(user_va),
+                        reg.value()->cap, op);
+  });
 }
 
 sim::Task<Result<fs::Attr>> DafsClient::getattr_op(std::uint64_t fh,

@@ -7,7 +7,6 @@
 // caching/ODAFS layer above can populate its ORDMA directory.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -20,6 +19,7 @@
 #include "host/host.h"
 #include "msg/vi.h"
 #include "nas/dafs/dafs_proto.h"
+#include "nas/registration.h"
 #include "rpc/rpc.h"
 #include "rpc/xdr.h"
 #include "sim/event.h"
@@ -131,29 +131,20 @@ class DafsClient : public core::FileClient {
 
   // Register a user buffer with the NIC (registration-cached). Returns the
   // entry mapping host addresses to NIC addresses.
-  struct Registered {
-    mem::Vaddr host_base = 0;
-    Bytes len = 0;
-    crypto::Capability cap;
-    mem::Vaddr nic_va(mem::Vaddr host_va) const {
-      return cap.base + (host_va - host_base);
-    }
-  };
+  using Registered = RegistrationCache::Entry;
   sim::Task<Result<Registered*>> ensure_registered(mem::Vaddr va, Bytes len,
-                                                   obs::OpId trace_op = 0);
+                                                   obs::OpId trace_op = 0) {
+    return regs_.ensure(va, len, trace_op);
+  }
 
-  // getattr body with explicit trace context (no root span of its own);
-  // exposed so OdafsClient's RPC fallback stays inside the caller's op.
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
+  // getattr body (no root span of its own); public so OdafsClient's RPC
+  // fallback stays inside the caller's op.
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
 
   // --- FileClient --------------------------------------------------------
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
   const char* protocol_name() const override { return "DAFS"; }
@@ -172,6 +163,14 @@ class DafsClient : public core::FileClient {
     return last_open_ ? &*last_open_ : nullptr;
   }
 
+ protected:
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId op) override;
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId op) override;
+
  private:
   // Send `args` as proc `proc` and await the matched reply body (after
   // req_id; status is the first u32 of the returned buffer).
@@ -181,21 +180,11 @@ class DafsClient : public core::FileClient {
   sim::Task<Status> ensure_connected();
   sim::Task<void> rx_loop();
 
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
-  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
-                                    mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
-  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
-                                     mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
-
   static void decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
                           DafsReadResult& out);
 
   net::NodeId server_;
   DafsClientConfig cfg_;
-  obs::Track trk_app_;  // root spans for this client's file ops
   rpc::WaiterTable<net::Buffer> waiters_;
   rpc::RetryLoop retry_;
   std::unique_ptr<msg::ViConnection> conn_;
@@ -206,7 +195,7 @@ class DafsClient : public core::FileClient {
   Counter invalidates_rx_{counters_, "odafs/invalidates_rx"};
   InvalidateHandler on_invalidate_;
 
-  std::deque<Registered> regs_;
+  RegistrationCache regs_{host_};
   cache::DelegationTable delegations_;
   std::unordered_map<std::string, OpenInfo> delegated_opens_;
   std::optional<OpenInfo> last_open_;

@@ -28,16 +28,16 @@ NfsClientBase::NfsClientBase(host::Host& host, msg::UdpStack& stack,
     : FileClient(host),
       rpc_(host, stack, local_port, retry),
       server_(server),
-      transfer_size_(transfer_size),
-      trk_app_(host.name(), "app") {
+      transfer_size_(transfer_size) {
   counters_.adopt(rpc_.counters());
 }
 
-sim::Task<Result<fs::Attr>> NfsClientBase::resolve(const std::string& path) {
+sim::Task<Result<fs::Attr>> NfsClientBase::resolve(
+    std::vector<std::string> names) {
   fs::Attr cur;
   cur.ino = fs::ServerFs::kRootIno;
   cur.type = fs::FileType::directory;
-  for (const auto& name : components(path)) {
+  for (const auto& name : names) {
     rpc::XdrEncoder args;
     args.u64(cur.ino);
     args.str(name);
@@ -56,28 +56,17 @@ sim::Task<Result<std::pair<fs::Ino, std::string>>>
 NfsClientBase::resolve_parent(const std::string& path) {
   auto parts = components(path);
   if (parts.empty()) co_return Errc::invalid_argument;
-  const std::string leaf = parts.back();
+  std::string leaf = std::move(parts.back());
   parts.pop_back();
-  fs::Ino dir = fs::ServerFs::kRootIno;
-  for (const auto& name : parts) {
-    rpc::XdrEncoder args;
-    args.u64(dir);
-    args.str(name);
-    auto res = co_await rpc_.call(server_, kNfsPort, kLookup, args.finish());
-    if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
-    rpc::XdrDecoder dec(res.value().results);
-    dir = decode_attr(dec).ino;
-  }
-  co_return std::make_pair(dir, leaf);
+  auto dir = co_await resolve(std::move(parts));
+  if (!dir.ok()) co_return dir.status();
+  co_return std::make_pair(dir.value().ino, std::move(leaf));
 }
 
 sim::Task<Result<core::OpenResult>> NfsClientBase::open(
     const std::string& path) {
   co_await host_.cpu_consume(host_.costs().cpu_syscall);
-  auto attr = co_await resolve(path);
+  auto attr = co_await resolve(components(path));
   if (!attr.ok()) co_return attr.status();
   co_return core::OpenResult{attr.value().ino, attr.value().size};
 }
@@ -86,20 +75,6 @@ sim::Task<Status> NfsClientBase::close(std::uint64_t) {
   // NFS is stateless: close is purely local.
   co_await host_.cpu_consume(host_.costs().cpu_syscall);
   co_return Status::Ok();
-}
-
-sim::Task<Result<Bytes>> NfsClientBase::pread(std::uint64_t fh, Bytes off,
-                                              mem::Vaddr user_va,
-                                              Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
 }
 
 sim::Task<Result<Bytes>> NfsClientBase::pread_op(std::uint64_t fh, Bytes off,
@@ -115,20 +90,6 @@ sim::Task<Result<Bytes>> NfsClientBase::pread_op(std::uint64_t fh, Bytes off,
     if (n.value() < chunk) break;  // EOF
   }
   co_return done;
-}
-
-sim::Task<Result<Bytes>> NfsClientBase::pwrite(std::uint64_t fh, Bytes off,
-                                               mem::Vaddr user_va,
-                                               Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
 }
 
 sim::Task<Result<Bytes>> NfsClientBase::pwrite_op(std::uint64_t fh,
@@ -159,17 +120,6 @@ sim::Task<Result<Bytes>> NfsClientBase::pwrite_op(std::uint64_t fh,
     done += dec.u32();
   }
   co_return done;
-}
-
-sim::Task<Result<fs::Attr>> NfsClientBase::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  co_return r;
 }
 
 sim::Task<Result<fs::Attr>> NfsClientBase::getattr_op(std::uint64_t fh,
@@ -292,71 +242,50 @@ sim::Task<Result<Bytes>> NfsPrepostClient::read_chunk(std::uint64_t ino,
 // NFS hybrid: advertise a registered buffer, server RDMA-writes into it.
 // ---------------------------------------------------------------------------
 
-sim::Task<Result<NfsHybridClient::Registered*>>
-NfsHybridClient::ensure_registered(mem::Vaddr va, Bytes len, obs::OpId op) {
-  for (auto& r : regs_) {
-    if (va >= r.host_base && va + len <= r.host_base + r.len) co_return &r;
-  }
-  // Register the page-aligned range covering [va, va+len).
-  const mem::Vaddr base = va & ~(mem::kPageSize - 1);
-  const Bytes aligned_len =
-      ((va + len + mem::kPageSize - 1) & ~(mem::kPageSize - 1)) - base;
-  co_await host_.cpu_consume(host_.costs().memory_register, op,
-                             "io/register");
-  auto cap = host_.nic().export_segment(host_.user_as(), base, aligned_len,
-                                        crypto::SegPerm::read_write,
-                                        /*pin_now=*/true);
-  if (!cap.ok()) co_return cap.status();
-  ++registrations_;
-  regs_.push_back(Registered{base, aligned_len, cap.value()});
-  co_return &regs_.back();
-}
-
 sim::Task<Result<Bytes>> NfsHybridClient::read_chunk(std::uint64_t ino,
                                                      Bytes off,
                                                      mem::Vaddr user_va,
                                                      Bytes len,
                                                      obs::OpId op) {
   const auto& cm = host_.costs();
-  auto reg = co_await ensure_registered(user_va, len, op);
+  auto reg = co_await regs_.ensure(user_va, len, op);
   if (!reg.ok()) co_return reg.status();
-  const Registered& r = *reg.value();
-  const mem::Vaddr nic_va = r.cap.base + (user_va - r.host_base);
+  const RegistrationCache::Entry& r = *reg.value();
 
   // The server's RDMA write is unacked: a dropped data frame leaves the RPC
   // reply intact but the user buffer stale. Verify the landed bytes against
   // the reply's checksum and re-issue the whole read a bounded number of
-  // times before surfacing an I/O error.
+  // times before surfacing an I/O error. Only a mismatch is re-issued.
   constexpr unsigned kReadAttempts = 4;
-  for (unsigned attempt = 1;; ++attempt) {
-    rpc::XdrEncoder args;
-    args.u64(ino);
-    args.u64(off);
-    args.u32(static_cast<std::uint32_t>(len));
-    args.u64(nic_va);
-    encode_cap(args, r.cap);
-    auto res = co_await rpc_.call(server_, kNfsPort, kReadHybrid,
-                                  args.finish(), nullptr, op);
-    if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
-
-    co_await host_.cpu_consume(cm.nfs_client_proc, op, "io/nfs_client_proc");
-    rpc::XdrDecoder dec(res.value().results);
-    const Bytes n = dec.u32();
-    const std::uint32_t want = dec.u32();
-    if (!dec.ok()) co_return Errc::io_error;
-    std::vector<std::byte> landed(n);
-    if (!host_.user_as().read(user_va, landed).ok()) {
-      co_return Errc::access_fault;
-    }
-    if (data_checksum(landed) == want) co_return n;
-    ++integrity_retries_;
-    note_retry();
-    obs::note_op_retry(op);
-    if (attempt >= kReadAttempts) co_return Errc::io_error;
-  }
+  bool mismatch = false;
+  co_return co_await reissue(
+      kReadAttempts, op, [&](Errc) { return mismatch; },
+      [&]() -> sim::Task<Result<Bytes>> {
+        mismatch = false;
+        rpc::XdrEncoder args;
+        args.u64(ino);
+        args.u64(off);
+        args.u32(static_cast<std::uint32_t>(len));
+        args.u64(r.nic_va(user_va));
+        encode_cap(args, r.cap);
+        auto res = co_await rpc_.call(server_, kNfsPort, kReadHybrid,
+                                      args.finish(), nullptr, op);
+        if (!res.ok()) co_return res.status();
+        if (res.value().status != 0) {
+          co_return static_cast<Errc>(res.value().status);
+        }
+        co_await host_.cpu_consume(cm.nfs_client_proc, op,
+                                   "io/nfs_client_proc");
+        rpc::XdrDecoder dec(res.value().results);
+        const Bytes n = dec.u32();
+        const std::uint32_t want = dec.u32();
+        if (!dec.ok()) co_return Errc::io_error;
+        const Status landed = check_landed(host_.user_as(), user_va, n, want);
+        mismatch = landed.code() == Errc::io_error;
+        if (mismatch) ++integrity_retries_;
+        if (!landed.ok()) co_return landed;
+        co_return n;
+      });
 }
 
 }  // namespace ordma::nas::nfs

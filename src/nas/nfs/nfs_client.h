@@ -14,13 +14,13 @@
 #pragma once
 
 #include <string>
-#include <deque>
 #include <vector>
 
 #include "core/file_client.h"
 #include "host/host.h"
 #include "msg/udp.h"
 #include "nas/nfs/nfs_proto.h"
+#include "nas/registration.h"
 #include "rpc/rpc.h"
 
 namespace ordma::nas::nfs {
@@ -33,11 +33,6 @@ class NfsClientBase : public core::FileClient {
 
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
 
@@ -46,14 +41,24 @@ class NfsClientBase : public core::FileClient {
   Bytes transfer_size() const { return transfer_size_; }
 
  protected:
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId op) override;
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId op) override;
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
+
   // One wire READ of at most transfer_size bytes; returns bytes read.
   // `op` is the enclosing file operation's trace context (obs/trace.h).
   virtual sim::Task<Result<Bytes>> read_chunk(std::uint64_t ino, Bytes off,
                                               mem::Vaddr user_va, Bytes len,
                                               obs::OpId op) = 0;
 
-  // Resolve a path ("a/b/c", relative to the export root) to (attr).
-  sim::Task<Result<fs::Attr>> resolve(const std::string& path);
+  // LOOKUP path components in turn from the export root; returns the attr
+  // of the last (the root's for none).
+  sim::Task<Result<fs::Attr>> resolve(std::vector<std::string> names);
   // Resolve the directory part and return (dir ino, leaf name).
   sim::Task<Result<std::pair<fs::Ino, std::string>>> resolve_parent(
       const std::string& path);
@@ -61,19 +66,6 @@ class NfsClientBase : public core::FileClient {
   rpc::RpcClient rpc_;
   net::NodeId server_;
   Bytes transfer_size_;
-
- private:
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
-  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
-                                    mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
-  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
-                                     mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
-
-  obs::Track trk_app_;  // root spans for this client's file ops
 };
 
 class NfsClient final : public NfsClientBase {
@@ -114,18 +106,9 @@ class NfsHybridClient final : public NfsClientBase {
                                       obs::OpId op) override;
 
  private:
-  struct Registered {
-    mem::Vaddr host_base = 0;
-    Bytes len = 0;
-    crypto::Capability cap;
-  };
-  // Registration cache (§5.1: "avoid registering application buffers with
-  // the NIC on each I/O by caching registrations").
-  sim::Task<Result<Registered*>> ensure_registered(mem::Vaddr va, Bytes len,
-                                                   obs::OpId op);
-  std::deque<Registered> regs_;
   Counter registrations_{counters_, "nfs/registrations"};
   Counter integrity_retries_{counters_, "nfs/integrity_retries"};
+  RegistrationCache regs_{host_, &registrations_};
 };
 
 }  // namespace ordma::nas::nfs

@@ -9,21 +9,12 @@
 
 namespace ordma::nas::odafs {
 
-namespace {
-// Failures worth another ORDMA→RPC round: exhausted retransmits, a
-// (spuriously) revoked capability, or a transient media/integrity error.
-bool fetch_retryable(Errc e) {
-  return e == Errc::timed_out || e == Errc::revoked || e == Errc::io_error;
-}
-}  // namespace
-
 OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
                          OdafsClientConfig cfg)
     : FileClient(host),
       cfg_(cfg),
       dafs_(host, server, cfg.dafs),
       cache_(host, cfg.cache),
-      trk_app_(host.name(), "app"),
       policy_(cfg.policy) {
   counters_.adopt(dafs_.counters());
   counters_.adopt(cache_.counters());
@@ -195,75 +186,53 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
       }
     }
 
-    // --- RPC path (bounded retry; direct fills verified by checksum) -------
+    // --- RPC path (bounded re-issue; direct fills verified by checksum) ----
     if (!filled) {
       ++rpc_reads_;
       signals_.ref_hit_rate.update(0.0);
       const SimTime rt0 = host_.engine().now();
-      dafs::DafsReadResult result;
-      Status last = Status(Errc::io_error);
-      for (unsigned attempt = 1;
-           !filled && attempt <= cfg_.max_fetch_attempts; ++attempt) {
-        if (cfg_.inline_rpc) {
-          auto res = co_await dafs_.read_inline(fh, block_off, want, op);
-          if (!res.ok()) {
-            last = res.status();
-            if (fetch_retryable(last.code())) {
-              note_retry();
-              obs::note_op_retry(op);
-              continue;
+      auto res = co_await reissue(
+          cfg_.max_fetch_attempts, op, retryable,
+          [&]() -> sim::Task<Result<dafs::DafsReadResult>> {
+            if (cfg_.inline_rpc) {
+              co_return co_await dafs_.read_inline(fh, block_off, want, op);
             }
-            co_return last;
-          }
-          result = std::move(res.value());
-          cache_.attach_data(hdr, result.n);
-          // In-line data must be copied from the communication buffer into
-          // the file cache (the Table 3 "in cache" copy).
-          co_await host_.copy(result.n, op);
-          cache_.write_block(hdr,
-                             result.inline_data.view().subspan(0, result.n));
-          filled = true;
-        } else {
-          const mem::Vaddr va = cache_.attach_data(hdr, want);
-          auto res = co_await dafs_.read_direct(fh, block_off, want,
+            const mem::Vaddr va = cache_.attach_data(hdr, want);
+            auto r = co_await dafs_.read_direct(fh, block_off, want,
                                                 slab_reg_->nic_va(va),
                                                 slab_reg_->cap, op);
-          if (!res.ok()) {
-            last = res.status();
-            if (fetch_retryable(last.code())) {
-              note_retry();
-              obs::note_op_retry(op);
-              continue;
-            }
-            co_return last;
-          }
-          // The server's RDMA write into the cache slab is unacked: verify
-          // the landed bytes before exposing the block to readers.
-          std::vector<std::byte> landed(res.value().n);
-          if (!landed.empty() && !host_.user_as().read(va, landed).ok()) {
-            co_return Errc::access_fault;
-          }
-          if (data_checksum(landed) != res.value().data_cksum) {
-            ++integrity_retries_;
-            note_retry();
-            obs::note_op_retry(op);
-            last = Status(Errc::io_error);
-            continue;
-          }
-          result = std::move(res.value());
-          hdr.valid = result.n;
-          filled = true;
-        }
-      }
-      if (!filled) {
+            if (!r.ok()) co_return r;
+            // The server's RDMA write into the cache slab is unacked:
+            // verify the landed bytes before exposing the block to readers.
+            const Status landed = check_landed(host_.user_as(), va,
+                                               r.value().n,
+                                               r.value().data_cksum);
+            if (landed.code() == Errc::io_error) ++integrity_retries_;
+            if (!landed.ok()) co_return landed;
+            co_return r;
+          });
+      if (!res.ok()) {
+        // A retryable error here means every attempt was spent.
+        if (!retryable(res.code())) co_return res.status();
         ++fetch_give_ups_;
         // Mark at the decision site: a give-up inside a spawned prefetch
         // never propagates to the wrapper, but its op must still be
         // retained by the trace sampler.
         obs::note_op_error(op);
         obs::flight::note_giveup(host_.flight(), host_.engine().now().ns, op,
-                                 static_cast<std::uint64_t>(last.code()));
-        co_return last;
+                                 static_cast<std::uint64_t>(res.code()));
+        co_return res.status();
+      }
+      const dafs::DafsReadResult& result = res.value();
+      if (cfg_.inline_rpc) {
+        cache_.attach_data(hdr, result.n);
+        // In-line data must be copied from the communication buffer into
+        // the file cache (the Table 3 "in cache" copy).
+        co_await host_.copy(result.n, op);
+        cache_.write_block(hdr,
+                           result.inline_data.view().subspan(0, result.n));
+      } else {
+        hdr.valid = result.n;
       }
       if (policy_.enabled()) {
         policy_.observe_read(policy::ReadMech::rpc,
@@ -312,19 +281,6 @@ sim::Task<Status> OdafsClient::close(std::uint64_t fh) {
     if (!st.ok()) co_return st;
   }
   co_return co_await dafs_.close(fh);
-}
-
-sim::Task<Result<Bytes>> OdafsClient::pread(std::uint64_t fh, Bytes off,
-                                            mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
 }
 
 sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
@@ -408,19 +364,6 @@ sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
   }
   co_await drain_guard.drain();
   co_return done;
-}
-
-sim::Task<Result<Bytes>> OdafsClient::pwrite(std::uint64_t fh, Bytes off,
-                                             mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len);
-  co_return r;
 }
 
 void OdafsClient::apply_local_write(std::uint64_t fh, Bytes off,
@@ -524,11 +467,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
         // replaying the bytes inline is safe even when the put was lost
         // mid-resolve (revoke fire) or the commit ack went missing.
         ++put_fallbacks_;
-        Result<Bytes> n = Errc::io_error;
-        for (unsigned a = 1; a <= cfg_.max_fetch_attempts; ++a) {
-          n = co_await dafs_.write_inline(fh, pos, bytes, op);
-          if (n.ok() || !fetch_retryable(n.code())) break;
-        }
+        auto n = co_await write_rpc(fh, pos, bytes, op);
         if (!n.ok()) co_return n.status();
       }
       apply_local_write(fh, pos, bytes, version);
@@ -539,13 +478,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
     co_return len;
   }
 
-  // Idempotent write-through: re-issue (bounded) when the request gave up
-  // on retransmits or hit a transient error.
-  Result<Bytes> n = Errc::io_error;
-  for (unsigned attempt = 1; attempt <= cfg_.max_fetch_attempts; ++attempt) {
-    n = co_await dafs_.write_inline(fh, off, data, op);
-    if (n.ok() || !fetch_retryable(n.code())) break;
-  }
+  auto n = co_await write_rpc(fh, off, data, op);
   if (!n.ok()) co_return n.status();
 
   auto& size = sizes_[fh];
@@ -554,6 +487,14 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
   apply_local_write(
       fh, off, std::span<const std::byte>(data.data(), n.value()), 0);
   co_return n.value();
+}
+
+sim::Task<Result<Bytes>> OdafsClient::write_rpc(
+    std::uint64_t fh, Bytes pos, std::span<const std::byte> data,
+    obs::OpId op) {
+  return reissue(cfg_.max_fetch_attempts, op, retryable, [=, this] {
+    return dafs_.write_inline(fh, pos, data, op);
+  });
 }
 
 sim::Task<Result<std::uint64_t>> OdafsClient::put_piece(
@@ -594,7 +535,7 @@ sim::Task<Result<std::uint64_t>> OdafsClient::put_piece(
                                            /*wait_ack=*/false, op);
     if (!put.ok()) {
       last = put;
-      if (fetch_retryable(put.code())) continue;
+      if (retryable(put.code())) continue;
       break;
     }
     auto res = co_await dafs_.put_commit(fh, sfbn, soff, data.size(), cksum,
@@ -620,7 +561,7 @@ sim::Task<Result<std::uint64_t>> OdafsClient::put_piece(
     // fault between placement and commit); timed_out = commit gave up on
     // retransmits. Both: replay put + commit.
     last = res.status();
-    if (!fetch_retryable(e)) break;
+    if (!retryable(e)) break;
   }
   co_return last;
 }
@@ -720,11 +661,7 @@ sim::Task<Status> OdafsClient::flush_block(cache::BlockKey key, obs::OpId op,
     // Same recovery as write-through: every exhausted put failure replays
     // inline over RPC (an uncommitted put is never applied server-side).
     ++put_fallbacks_;
-    Result<Bytes> n = Errc::io_error;
-    for (unsigned a = 1; a <= cfg_.max_fetch_attempts; ++a) {
-      n = co_await dafs_.write_inline(key.file, pos, data, op);
-      if (n.ok() || !fetch_retryable(n.code())) break;
-    }
+    auto n = co_await write_rpc(key.file, pos, data, op);
     if (!n.ok()) st = n.status();
   }
 
@@ -767,17 +704,6 @@ sim::Task<Status> OdafsClient::flush_oldest(obs::OpId op) {
     co_return co_await flush_block(key, op, /*drop_after=*/false);
   }
   co_return Status::Ok();
-}
-
-sim::Task<Status> OdafsClient::sync() {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto st = co_await sync_op(op);
-  if (!st.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/sync", b, e);
-  record_op(op, e - b, st.ok());
-  co_return st;
 }
 
 sim::Task<Status> OdafsClient::sync_op(obs::OpId op) {
@@ -827,17 +753,6 @@ void OdafsClient::handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
       ++inval_drops_;
     }
   }
-}
-
-sim::Task<Result<fs::Attr>> OdafsClient::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  co_return r;
 }
 
 sim::Task<Result<fs::Attr>> OdafsClient::getattr_op(std::uint64_t fh,

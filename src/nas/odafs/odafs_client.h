@@ -73,16 +73,15 @@ class OdafsClient : public core::FileClient {
   // --- FileClient ---------------------------------------------------------
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
   // Flush every dirty write-back block through the put path (RPC fallback
-  // per block); returns the last flush error, Ok when all landed.
-  sim::Task<Status> sync() override;
+  // per block); returns the last flush error, Ok when all landed. The one
+  // accounted sync ("op/sync").
+  sim::Task<Status> sync() override {
+    return run_op("op/sync", std::nullopt,
+                  [this](obs::OpId op) { return sync_op(op); });
+  }
   const char* protocol_name() const override {
     return cfg_.use_ordma ? "ODAFS" : "DAFS (cached)";
   }
@@ -123,26 +122,34 @@ class OdafsClient : public core::FileClient {
   // FileClient base exports; enabled via OdafsClientConfig::policy.
   const policy::PolicyEngine& protocol_policy() const { return policy_; }
 
+ protected:
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId op) override;
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId op) override;
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
+
  private:
   sim::Task<Status> ensure_slab_registered(obs::OpId op);
   // Harvest piggybacked references into cache headers.
   void store_refs(std::uint64_t fh, const dafs::DafsReadResult& res);
   sim::Task<void> charge_pickup(obs::OpId op);
 
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
-  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
-                                    mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
-  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
-                                     mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
   // pwrite body for one concrete arm (`wp` is the effective policy for
   // this op — the static config, or the engine's per-op choice).
   sim::Task<Result<Bytes>> pwrite_arm(std::uint64_t fh, Bytes off,
                                       mem::Vaddr user_va, Bytes len,
                                       WritePolicy wp, obs::OpId op);
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
+
+  // Idempotent RPC write-through of `data` at file offset `pos`,
+  // re-issued (bounded) when the request gave up on retransmits or hit a
+  // transient error.
+  sim::Task<Result<Bytes>> write_rpc(std::uint64_t fh, Bytes pos,
+                                     std::span<const std::byte> data,
+                                     obs::OpId op);
 
   // --- ORDMA write path ----------------------------------------------------
   // Optimistic put of `data` at absolute file offset `pos` (all within one
@@ -183,7 +190,6 @@ class OdafsClient : public core::FileClient {
   OdafsClientConfig cfg_;
   dafs::DafsClient dafs_;
   cache::ClientCache cache_;
-  obs::Track trk_app_;  // root spans for this client's file ops
   std::unordered_map<cache::BlockKey, std::shared_ptr<Inflight>,
                      cache::BlockKeyHash>
       inflight_;

@@ -2,9 +2,12 @@
 // attributes, capabilities and remote memory references.
 #pragma once
 
+#include <vector>
+
 #include "cache/client_cache.h"
 #include "crypto/capability.h"
 #include "fs/server_fs.h"
+#include "mem/address_space.h"
 #include "rpc/xdr.h"
 
 namespace ordma::nas {
@@ -69,6 +72,17 @@ inline cache::RemoteRef decode_ref(rpc::XdrDecoder& dec) {
 // the client checksums the landed bytes, instead of as silent corruption.
 inline std::uint32_t data_checksum(std::span<const std::byte> data) {
   return rpc::checksum32(data);
+}
+
+// The landed-bytes check: read back the `n` bytes an unacked RDMA write
+// placed at `va` and compare them with the reply's checksum. Ok when they
+// landed intact, io_error when not (the caller re-issues the read),
+// access_fault when the range cannot be read.
+inline Status check_landed(const mem::AddressSpace& as, mem::Vaddr va,
+                           Bytes n, std::uint32_t want) {
+  std::vector<std::byte> landed(n);
+  if (n > 0 && !as.read(va, landed).ok()) return Status(Errc::access_fault);
+  return Status(data_checksum(landed) == want ? Errc::ok : Errc::io_error);
 }
 
 // --- ORDMA write-path messages (kPutCommit / kInvalidate) -------------------

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <string_view>
 
+#include "obs/json.h"
 #include "obs/sweep.h"
 
 namespace ordma::obs {
@@ -91,13 +92,6 @@ Cause classify(const char* name, std::string_view component,
   // Everything else ("io/", "byte/", "pkt/", unknown prefixes) is host
   // processing charged to whichever side ran it.
   return on_root_process ? Cause::client_cpu : Cause::server_cpu;
-}
-
-void json_escape(std::ostream& os, const char* s) {
-  for (const char* p = s; *p; ++p) {
-    if (*p == '"' || *p == '\\') os << '\\';
-    os << *p;
-  }
 }
 
 void write_causes(std::ostream& os, const double (&us)[kCauseCount]) {
@@ -215,7 +209,7 @@ void write_explain_json(std::ostream& os, const char* label,
   if (!totals.empty()) mean /= static_cast<double>(totals.size());
 
   os << "{\n  \"schema\": \"ordma.explain.v1\",\n  \"label\": \"";
-  json_escape(os, label);
+  json_escaped(os, label);
   os << "\",\n  \"ops\": " << totals.size() << ",\n";
   os << "  \"latency_us\": {\"p50\": " << percentile(totals, 0.50)
      << ", \"p90\": " << percentile(totals, 0.90) << ", \"p99\": "
@@ -249,7 +243,7 @@ void write_explain_json(std::ostream& os, const char* label,
     const CauseBreakdown& bd = top[i];
     os << (i ? ",\n    " : "\n    ");
     os << "{\"op\": " << bd.op << ", \"root\": \"";
-    json_escape(os, bd.root_name);
+    json_escaped(os, bd.root_name);
     os << "\", \"total_us\": " << bd.total_us << ", \"dominant\": \""
        << cause_name(bd.dominant()) << "\", \"causes_us\": ";
     write_causes(os, bd.us);

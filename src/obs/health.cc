@@ -1,12 +1,11 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/assert.h"
+#include "obs/json.h"
 #include "sim/engine.h"
 
 namespace ordma::obs::health {
@@ -19,30 +18,6 @@ const char* kind_name(SloSpec::Kind k) {
     case SloSpec::Kind::ratio: return "ratio";
   }
   return "?";
-}
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
 }
 
 // Does `path` end in "/<suffix>" (or equal it)? Returns the component

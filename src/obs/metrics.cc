@@ -1,10 +1,9 @@
 #include "obs/metrics.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
+
+#include "obs/json.h"
 
 namespace ordma::obs {
 
@@ -93,42 +92,6 @@ void MetricsRegistry::delta_snapshot(DeltaCursor& cursor,
     out.push_back(d);
   }
 }
-
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-// Integral values (every cumulative counter) print exactly, digit for
-// digit; anything else prints as the shortest decimal that parses back to
-// the same double.
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    os << buf;
-    return;
-  }
-  const auto r = std::to_chars(buf, buf + sizeof buf, v);
-  os.write(buf, r.ptr - buf);
-}
-
-}  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   // Nest '/'-separated paths into an object tree. std::map keeps both the

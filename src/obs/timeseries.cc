@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -11,6 +10,7 @@
 
 #include "common/assert.h"
 #include "obs/health.h"
+#include "obs/json.h"
 #include "sim/engine.h"
 
 namespace ordma::obs::ts {
@@ -103,38 +103,6 @@ std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
   }
   return segs;
 }
-
-// ---------------------------------------------------------------------------
-// Small emit helpers (same conventions as obs/metrics.cc)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-}  // namespace
 
 bool parse_duration(const std::string& s, Duration* out) {
   if (s.empty()) return false;
@@ -409,10 +377,9 @@ void TimeseriesSampler::write_csv(std::ostream& os, const std::string& run) {
     }
   }
   os << "\n";
-  char buf[64];
   auto cell = [&](double v) {
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    os << "," << buf;
+    os << ",";
+    emit_number(os, v);
   };
   for (std::size_t w = fk; w < windows_; ++w) {
     os << base_ns_ + static_cast<std::int64_t>(w) * iv;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "obs/json.h"
 #include "obs/sampler.h"
 
 namespace ordma::obs {
@@ -85,22 +86,6 @@ void TraceRecorder::clear() {
 }
 
 namespace {
-
-// Span names and track names are ASCII identifiers by convention; escape
-// defensively anyway so the output is always valid JSON.
-void json_escaped(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
 
 void emit_ts(std::ostream& os, std::int64_t ns) {
   // Chrome trace timestamps are microseconds; print with ns precision.

@@ -28,8 +28,9 @@ class FakeFileClient final : public core::FileClient {
   sim::Task<Status> close(std::uint64_t) override {
     co_return Status::Ok();
   }
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override {
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId) override {
     co_await host_.engine().delay(usec(10));
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
@@ -43,8 +44,9 @@ class FakeFileClient final : public core::FileClient {
     }
     co_return n;
   }
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override {
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId) override {
     co_await host_.engine().delay(usec(10));
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
@@ -56,7 +58,8 @@ class FakeFileClient final : public core::FileClient {
     std::copy(tmp.begin(), tmp.end(), f->data.begin() + off);
     co_return len;
   }
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override {
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId) override {
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
     fs::Attr a;

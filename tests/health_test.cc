@@ -147,6 +147,25 @@ TEST(Health, FixedThresholdHealthyRun) {
   EXPECT_NE(os.str().find("\"component\":\"client7\""), std::string::npos);
 }
 
+// Numbers in the health document use the metrics emitter: a value above
+// 10^6 prints digit for digit (not as 1.23457e+06).
+TEST(Health, LargeValuesSerialiseExactly) {
+  MetricsRegistry reg;
+  auto& h = reg.histogram("client7/io/latency_us");
+  SloSpec spec;
+  spec.name = "io_p99";
+  spec.kind = SloSpec::Kind::p99_latency;
+  spec.series_suffix = "io/latency_us";
+  spec.threshold = 1234567;  // us, fixed
+  HealthMonitor mon(reg, {spec});
+  h.add(usec(200));
+  mon.sample_window(0);
+  std::ostringstream os;
+  mon.write_json(os, "large");
+  EXPECT_NE(os.str().find("\"threshold\":1234567,"), std::string::npos)
+      << os.str();
+}
+
 // The acceptance-criterion integration path: a fault-injected cluster run
 // under RunScope trips a stock-style SLO, the health document records it,
 // and the timeseries phase report labels the overlapping phase "degraded"

@@ -105,6 +105,16 @@ double total(const std::map<obs::OpId, obs::CauseBreakdown>& ops,
   return t;
 }
 
+// The label is escaped like every obs JSON string, control characters
+// included.
+TEST(Explain, LabelWithControlCharacterIsEscaped) {
+  std::ostringstream os;
+  obs::write_explain_json(os, "nfs\t\"8KB\"", {});
+  EXPECT_NE(os.str().find(R"("label": "nfs\u0009\"8KB\"")"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(Explain, NfsCleanRunSumsAndBlamesRealWork) {
   Cluster c;
   c.start_nfs();

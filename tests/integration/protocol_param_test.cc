@@ -1,7 +1,8 @@
 // Parameterized cross-protocol conformance tests: every FileClient variant
 // must satisfy the same contract — byte-exact reads at arbitrary offsets,
-// short reads at EOF, zero-length I/O, create/unlink semantics — over the
-// full simulated stack.
+// short reads at EOF, zero-length I/O, create/unlink semantics, and the op
+// plane's accounting (one root span and one io/ops count per file op) —
+// over the full simulated stack.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "obs/trace.h"
 
 namespace ordma {
 namespace {
@@ -231,6 +233,161 @@ TEST_P(ProtocolConformance, UnlinkRemovesFile) {
     auto open = co_await rig.client->open("gone");
     EXPECT_FALSE(open.ok());
   });
+}
+
+// --- The op plane (core::FileClient::run_op) -------------------------------
+
+// Root spans named `name` on client0's app track.
+int app_roots(const obs::TraceRecorder& rec, const char* name) {
+  int n = 0;
+  rec.for_each_event([&](const obs::TraceRecorder::Event& e) {
+    if (e.kind == obs::TraceRecorder::Kind::root &&
+        std::string(e.name) == name &&
+        rec.track_process(e.track) == "client0" &&
+        rec.track_component(e.track) == "app") {
+      ++n;
+    }
+  });
+  return n;
+}
+
+// One accounted op (`op` is lazy: it starts when awaited here): exactly one
+// "op/<name>" root and io/ops +1, io/errors +1 iff it failed, and the
+// op-size signal moved iff it is a data op.
+template <typename T>
+sim::Task<void> expect_one_op(Rig& rig, const obs::TraceRecorder& rec,
+                              const char* name, bool data_op, bool fails,
+                              sim::Task<Result<T>> op) {
+  const auto& st = rig.client->op_stats();
+  const std::uint64_t ops = st.ops;
+  const std::uint64_t errors = st.errors;
+  const int roots = app_roots(rec, name);
+  const auto& sig = rig.client->signals().op_bytes;
+  const bool primed = sig.primed();
+  const double bytes = sig.value();
+  const auto r = co_await std::move(op);
+  EXPECT_EQ(r.ok(), !fails) << name;
+  EXPECT_EQ(st.ops, ops + 1) << name;
+  EXPECT_EQ(st.errors, errors + (fails ? 1 : 0)) << name;
+  EXPECT_EQ(app_roots(rec, name), roots + 1) << name;
+  const bool moved = sig.primed() != primed || sig.value() != bytes;
+  EXPECT_EQ(moved, data_op) << name;
+}
+
+TEST_P(ProtocolConformance, EachFileOpIsOneRootAndOneCount) {
+  Rig rig(GetParam());
+  obs::TraceRecorder rec;
+  obs::install(&rec);
+  rig.drive([&]() -> sim::Task<void> {
+    co_await rig.cluster->make_file("f", KiB(16), true);
+    auto open = co_await rig.client->open("f");
+    EXPECT_TRUE(open.ok());
+    const std::uint64_t fh = open.value().fh;
+    auto& h = rig.cluster->client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(8));
+    // Distinct sizes, so each data op moves the op-size average.
+    co_await expect_one_op(rig, rec, "op/pread", true, false,
+                           rig.client->pread(fh, 0, buf, KiB(8)));
+    co_await expect_one_op(rig, rec, "op/pwrite", true, false,
+                           rig.client->pwrite(fh, KiB(4), buf, KiB(2)));
+    co_await expect_one_op(rig, rec, "op/getattr", false, false,
+                           rig.client->getattr(fh));
+  });
+  obs::install(static_cast<obs::TraceRecorder*>(nullptr));
+}
+
+TEST_P(ProtocolConformance, FailedFileOpAlsoCountsAnError) {
+  Rig rig(GetParam());
+  obs::TraceRecorder rec;
+  obs::install(&rec);
+  rig.drive([&]() -> sim::Task<void> {
+    const std::uint64_t stale = 0xdead;  // names no file on the server
+    auto& h = rig.cluster->client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(4));
+    co_await expect_one_op(rig, rec, "op/pread", true, true,
+                           rig.client->pread(stale, 0, buf, KiB(4)));
+    co_await expect_one_op(rig, rec, "op/pwrite", true, true,
+                           rig.client->pwrite(stale, 0, buf, KiB(1)));
+    co_await expect_one_op(rig, rec, "op/getattr", false, true,
+                           rig.client->getattr(stale));
+  });
+  obs::install(static_cast<obs::TraceRecorder*>(nullptr));
+}
+
+// A retry is counted exactly when another attempt is issued. Every GM
+// frame is dropped while the injector is armed, so each DAFS request times
+// out after one transmission.
+ClusterConfig lossy_gm() {
+  ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  fault::FaultPlan plan;
+  plan.gm.drop = 1.0;
+  cc.faults = plan;
+  return cc;
+}
+
+TEST(OpPlaneRetries, DafsReadThatGivesUpCountsAttemptsMinusOne) {
+  Cluster c(lossy_gm());
+  c.fault_injector()->set_armed(false);
+  c.start_dafs();
+  nas::dafs::DafsClientConfig cfg;
+  cfg.retry.timeout = msec(1);
+  cfg.max_io_attempts = 4;
+  auto client = c.make_dafs_client(0, cfg);
+  bool done = false;
+  c.engine().spawn([](Cluster& c, nas::dafs::DafsClient& cl,
+                      bool& done) -> sim::Task<void> {
+    co_await c.make_file("f", KiB(16), true);
+    auto open = co_await cl.open("f");
+    EXPECT_TRUE(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(4));
+    c.fault_injector()->set_armed(true);
+    auto r = co_await cl.pread(open.value().fh, 0, buf, KiB(4));
+    c.fault_injector()->set_armed(false);
+    EXPECT_EQ(r.code(), Errc::timed_out);
+    EXPECT_EQ(cl.op_stats().retries, 3u);  // max_io_attempts - 1
+    EXPECT_EQ(cl.op_stats().errors, 1u);
+    done = true;
+  }(c, *client, done));
+  c.engine().run();
+  EXPECT_TRUE(done);
+}
+
+TEST(OpPlaneRetries, OdafsRpcWriteReissuedOnceCountsOne) {
+  Cluster c(lossy_gm());
+  c.fault_injector()->set_armed(false);
+  c.start_dafs({.piggyback_refs = true});
+  nas::odafs::OdafsClientConfig cfg;
+  cfg.cache.block_size = KiB(4);
+  cfg.cache.data_blocks = 24;
+  cfg.dafs.retry.timeout = msec(1);
+  cfg.max_fetch_attempts = 3;
+  cfg.write_policy = nas::odafs::WritePolicy::rpc_through;
+  auto client = c.make_odafs_client(0, cfg);
+  bool done = false;
+  c.engine().spawn([](Cluster& c, nas::odafs::OdafsClient& cl,
+                      bool& done) -> sim::Task<void> {
+    auto created = co_await cl.create("w");
+    EXPECT_TRUE(created.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(4));
+    // Armed for the first transmission only: the fault clears well inside
+    // its 1 ms timeout, so the re-issue goes through.
+    c.fault_injector()->set_armed(true);
+    c.engine().spawn([](Cluster& c) -> sim::Task<void> {
+      co_await c.engine().delay(usec(500));
+      c.fault_injector()->set_armed(false);
+    }(c));
+    auto n = co_await cl.pwrite(created.value().fh, 0, buf, KiB(4));
+    EXPECT_TRUE(n.ok());
+    EXPECT_GE(c.fault_injector()->frames_dropped(), 1u);
+    EXPECT_EQ(cl.op_stats().retries, 1u);
+    EXPECT_EQ(cl.op_stats().errors, 0u);
+    done = true;
+  }(c, *client, done));
+  c.engine().run();
+  EXPECT_TRUE(done);
 }
 
 INSTANTIATE_TEST_SUITE_P(
